@@ -14,10 +14,15 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from repro.exceptions import QueryError
 
 
+_NO_TARGET = object()
+
+
 @dataclass(frozen=True)
 class _Filter:
     column: Optional[str]
     predicate: Callable[[Any], bool]
+    #: The value an equality filter compares against (``_NO_TARGET`` otherwise).
+    target: Any = _NO_TARGET
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,7 @@ class Query:
         """Add equality filters, e.g. ``query.filter_by(document_id=3)``."""
         filters = list(self._filters)
         for column, value in equalities.items():
-            filters.append(_Filter(column, lambda v, target=value: v == target))
+            filters.append(_Filter(column, lambda v, target=value: v == target, value))
         return replace(self, _filters=tuple(filters))
 
     def filter(self, column: str, predicate: Callable[[Any], bool]) -> "Query":
@@ -125,17 +130,19 @@ class Query:
 
     # ------------------------------------------------------------------ private
     def _candidate_rows(self) -> Iterable[dict[str, Any]]:
-        """Use a secondary index for the first indexable equality filter, if any."""
-        table = self.database.schema.table(self.table_name)
+        """Rows that may match, from an index probe where one applies, else a scan.
+
+        The first equality filter on the primary key or an indexed column is
+        answered by :meth:`_TableStore.probe`.  The probe only narrows the rows
+        :meth:`_execute` checks against every filter, and yields them in scan
+        order, so results never depend on it.
+        """
+        store = self.database._store(self.table_name)
         for filt in self._filters:
-            if filt.column is None or not table.has_column(filt.column):
-                continue
-            store = self.database._store(self.table_name)
-            if filt.column == table.primary_key or store.has_index(filt.column):
-                # Re-run the predicate against every stored value; equality
-                # filters dominate in practice so probe with each indexed value.
-                # Fall back to a scan for non-equality predicates.
-                break
+            if filt.target is not _NO_TARGET:
+                rows = store.probe(filt.column, filt.target)
+                if rows is not None:
+                    return rows
         return self.database.scan(self.table_name)
 
     def _execute(self) -> list[dict[str, Any]]:

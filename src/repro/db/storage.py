@@ -15,7 +15,9 @@ class _TableStore:
     def __init__(self, table: Table) -> None:
         self.table = table
         self.rows: dict[Any, dict[str, Any]] = {}
-        self._indexes: dict[str, dict[Any, set[Any]]] = {
+        # Buckets are insertion-ordered key sets, so a bucket lists its keys in
+        # the order ``rows`` does: probed rows come back in scan order.
+        self._indexes: dict[str, dict[Any, dict[Any, None]]] = {
             column.name: {} for column in table.columns if column.indexed
         }
         self._auto_id = itertools.count(1)
@@ -30,9 +32,15 @@ class _TableStore:
             raise IntegrityError(
                 f"duplicate primary key {key!r} for table {self.table.name!r}"
             )
+        for column_name in self._indexes:
+            if not _hashable(row.get(column_name)):
+                raise IntegrityError(
+                    f"{self.table.name}.{column_name} is indexed, so its values must be "
+                    f"hashable; got {row.get(column_name)!r}"
+                )
         self.rows[key] = row
         for column_name, index in self._indexes.items():
-            index.setdefault(row.get(column_name), set()).add(key)
+            index.setdefault(row.get(column_name), {})[key] = None
         return key
 
     def delete(self, key: Any) -> None:
@@ -42,15 +50,27 @@ class _TableStore:
         for column_name, index in self._indexes.items():
             bucket = index.get(row.get(column_name))
             if bucket is not None:
-                bucket.discard(key)
+                bucket.pop(key, None)
                 if not bucket:
                     del index[row.get(column_name)]
 
-    def lookup_index(self, column: str, value: Any) -> set[Any]:
-        return set(self._indexes[column].get(value, set()))
+    def probe(self, column: str, value: Any) -> Optional[list[dict[str, Any]]]:
+        """Copies of the rows whose ``column`` may equal ``value``, in scan order.
 
-    def has_index(self, column: str) -> bool:
-        return column in self._indexes
+        Answers from the primary key or ``column``'s index; returns ``None``
+        when neither applies or ``value`` is unhashable, so only a scan can
+        answer.  The result is a superset of the matches under ``==``: callers
+        still test each row.
+        """
+        if not _hashable(value):
+            return None
+        if column == self.table.primary_key:
+            row = self.rows.get(value)
+            return [dict(row)] if row is not None else []
+        index = self._indexes.get(column)
+        if index is None:
+            return None
+        return [dict(self.rows[key]) for key in index.get(value, ())]
 
 
 class Database:
@@ -139,17 +159,13 @@ class Database:
         return len(self._store(table_name).rows)
 
     def find_by(self, table_name: str, column: str, value: Any) -> list[dict[str, Any]]:
-        """Equality lookup, using the secondary index when one exists."""
-        store = self._store(table_name)
-        if not store.table.has_column(column):
-            raise QueryError(f"table {table_name!r} has no column {column!r}")
-        if column == store.table.primary_key:
-            row = store.rows.get(value)
-            return [dict(row)] if row is not None else []
-        if store.has_index(column):
-            keys = store.lookup_index(column, value)
-            return [dict(store.rows[key]) for key in sorted(keys, key=_sort_key)]
-        return [dict(row) for row in store.rows.values() if row.get(column) == value]
+        """Rows whose ``column`` equals ``value``, in scan order.
+
+        The same lookup as ``query(table_name).filter_by(column=value)``: it
+        uses the primary key or a secondary index when ``column`` has one.
+        """
+        self._store(table_name)  # an unknown table is a QueryError here
+        return self.query(table_name).filter_by(**{column: value}).all()
 
     def query(self, table_name: str) -> "Query":
         """Start a composable query against ``table_name``."""
@@ -165,6 +181,9 @@ class Database:
             raise QueryError(f"database has no table {table_name!r}") from None
 
 
-def _sort_key(value: Any) -> tuple:
-    """Stable ordering key that tolerates mixed key types."""
-    return (str(type(value)), str(value))
+def _hashable(value: Any) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True

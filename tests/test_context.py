@@ -1,5 +1,9 @@
 """Unit tests for the context hierarchy, preprocessing, and candidate extraction."""
 
+from collections import Counter
+from unittest import mock
+
+import numpy as np
 import pytest
 
 from repro.context import (
@@ -12,7 +16,18 @@ from repro.context import (
     TextPreprocessor,
 )
 from repro.context.candidates import Candidate, SentenceView, SpanView
+from repro.datasets import cdr
+from repro.datasets.kb import build_noisy_kb
+from repro.datasets.lf_library import (
+    distant_supervision_lfs,
+    keyword_pattern_lfs,
+    regex_variant_lfs,
+    structure_based_lfs,
+)
+from repro.datasets.synth_text import build_relation_task
+from repro.db.storage import Database, _TableStore
 from repro.exceptions import ContextError
+from repro.labeling import LFApplier
 
 
 def make_corpus():
@@ -109,3 +124,65 @@ def test_max_token_distance_filter():
         "d", "Magnesium was given long before preeclampsia developed.", split="train"
     )
     assert CandidateExtractor(space).extract(corpus) == 0
+
+
+# ------------------------------------------------ hierarchy walks use the indexes
+def test_hierarchy_walks_never_scan_child_tables():
+    scanned = Counter()
+    scan = Database.scan
+
+    def counted_scan(database, table_name):
+        scanned[table_name] += 1
+        return scan(database, table_name)
+
+    with mock.patch.object(Database, "scan", counted_scan):
+        corpus = make_corpus()
+        corpus.add_document("d1", "Magnesium causes preeclampsia. Magnesium treats renal failure.")
+        corpus.add_document("d2", "Renal failure after magnesium was rare.", split="test")
+        extractor = CandidateExtractor(
+            PairedEntityCandidateSpace("causes", "chemical", "disease"),
+            gold_labeler=lambda c: 1,
+        )
+        assert extractor.extract(corpus) == 3
+        assert len(corpus.candidates("train")) + len(corpus.candidates("test")) == 3
+        assert len(corpus.candidates()) == 3
+    assert scanned, "the corpus should still scan its documents and candidates"
+    assert not scanned.keys() & {"sentences", "spans", "entity_mentions"}, scanned
+
+
+def _cdr_outputs(seed):
+    data = build_relation_task(cdr.build_spec(scale=0.05), seed=seed)
+    kb = build_noisy_kb(
+        "ctd", data.true_pairs, data.all_pairs, positive_subset="causes",
+        negative_subset="treats", coverage=0.5, precision=0.85, seed=seed + 1,
+    )
+    lfs = (
+        keyword_pattern_lfs(cdr.POSITIVE_CUES, cdr.NEGATIVE_CUES)
+        + regex_variant_lfs(cdr.CORRELATED_STEMS)
+        + distant_supervision_lfs(kb, "causes", "treats")
+        + structure_based_lfs()
+    )
+    outputs = {}
+    for split, candidates in data.candidates.items():
+        outputs[split] = [
+            (c.uid, c.span1, c.span2, c.sentence.words, c.split, c.gold_label)
+            for c in candidates
+        ]
+        outputs[f"L_{split}"] = np.asarray(
+            LFApplier(lfs, pushdown="off").apply(candidates).values
+        )
+    return outputs
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_cdr_corpus_identical_with_index_probe_off(seed):
+    probed = _cdr_outputs(seed)
+    with mock.patch.object(_TableStore, "probe", return_value=None):
+        scanned = _cdr_outputs(seed)
+    assert len(probed["train"]) > 20
+    for key, value in probed.items():
+        if key.startswith("L_"):
+            assert value.dtype == scanned[key].dtype
+            np.testing.assert_array_equal(value, scanned[key])
+        else:
+            assert value == scanned[key]
