@@ -16,7 +16,8 @@ ways:
 
 Besides wall-clock the record carries **peak traced memory** for the
 recompute and resume paths (``tracemalloc``, which numpy allocations
-report into) — replay never materializes candidates, so its peak tracks
+report into, measured in separate untimed runs so tracing never inflates
+the timings) — replay never materializes candidates, so its peak tracks
 the block nnz — and the value-parity deltas the differential crash suite
 guarantees at test sizes, re-checked here at benchmark scale: the
 checkpointed and resumed runs must match the recompute run bit for bit.
@@ -28,10 +29,9 @@ checks.
 """
 
 import tempfile
-import time
-import tracemalloc
 
 import numpy as np
+from _measure import peak_bytes, timed
 
 from repro.datasets.synthetic import (
     stream_text_candidates,
@@ -44,17 +44,6 @@ DEFAULT_NUM_CANDIDATES = 20_000
 DEFAULT_NUM_TEST = 2_000
 DEFAULT_NUM_LFS = 10
 DEFAULT_NUM_FEATURES = 256
-
-
-def _measure(func):
-    """Run ``func`` under tracemalloc; return (result, seconds, peak bytes)."""
-    tracemalloc.start()
-    start = time.perf_counter()
-    result = func()
-    seconds = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return result, seconds, peak
 
 
 def run_block_store_benchmark(
@@ -92,9 +81,13 @@ def run_block_store_benchmark(
         )
 
     with tempfile.TemporaryDirectory() as root:
-        recompute, recompute_seconds, recompute_peak = _measure(run)
-        checkpointed, checkpointed_seconds, _ = _measure(lambda: run(root))
-        resumed, resume_seconds, resume_peak = _measure(lambda: run(root))
+        recompute, recompute_seconds = timed(run)
+        recompute_peak = peak_bytes(run)
+        # The checkpointed run fills the empty store; every later run over
+        # it is a resume, so the resume peak is traced after the timed one.
+        checkpointed, checkpointed_seconds = timed(lambda: run(root))
+        resumed, resume_seconds = timed(lambda: run(root))
+        resume_peak = peak_bytes(lambda: run(root))
 
     max_prob_diff = float(
         np.abs(recompute.training_probs - resumed.training_probs).max()

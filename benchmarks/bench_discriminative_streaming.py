@@ -12,7 +12,8 @@ stream_text_candidates`) is run end-to-end twice:
   ``fit_stream`` training.  No candidate list, no dense feature matrix.
 
 Besides wall-clock throughput the record carries **peak traced memory** for
-each path (``tracemalloc``, which numpy allocations report into) — the
+each path (``tracemalloc``, which numpy allocations report into, measured
+in a separate untimed run so tracing never inflates the timings) — the
 number that motivates the whole subsystem: the materialized peak grows with
 ``m·d`` while the streaming peak grows with the feature nnz — and the
 value-parity deltas (training probs, end-model weights) that the
@@ -27,10 +28,8 @@ default workload is the acceptance-scale 50k-candidate run; CI's
 ``--compare --quick`` smoke shrinks it.
 """
 
-import time
-import tracemalloc
-
 import numpy as np
+from _measure import peak_bytes, timed
 
 from repro.datasets.synthetic import (
     stream_text_candidates,
@@ -43,17 +42,6 @@ DEFAULT_NUM_CANDIDATES = 50_000
 DEFAULT_NUM_TEST = 5_000
 DEFAULT_NUM_LFS = 20
 DEFAULT_NUM_FEATURES = 512
-
-
-def _measure(func):
-    """Run ``func`` under tracemalloc; return (result, seconds, peak bytes)."""
-    tracemalloc.start()
-    start = time.perf_counter()
-    result = func()
-    seconds = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return result, seconds, peak
 
 
 def run_discriminative_streaming_benchmark(
@@ -109,8 +97,10 @@ def run_discriminative_streaming_benchmark(
         pipeline = SnorkelPipeline(lfs=lfs, config=make_config(streaming=True))
         return pipeline.run_streams(train_stream(), test_stream(), test_gold)
 
-    materialized, materialized_seconds, materialized_peak = _measure(run_materialized)
-    streaming, streaming_seconds, streaming_peak = _measure(run_streaming)
+    materialized, materialized_seconds = timed(run_materialized)
+    streaming, streaming_seconds = timed(run_streaming)
+    materialized_peak = peak_bytes(run_materialized)
+    streaming_peak = peak_bytes(run_streaming)
 
     max_prob_diff = float(
         np.abs(materialized.training_probs - streaming.training_probs).max()

@@ -1,6 +1,6 @@
 """Streaming pipeline: a generator-fed, out-of-core end-to-end run.
 
-Demonstrates the PR-5 out-of-core mode: candidates are *generated on the
+Demonstrates the out-of-core mode: candidates are *generated on the
 fly* and handed to the pipeline as plain generators — no candidate list, no
 dense ``(m, d)`` feature matrix, ever.  Per split the execution engine makes
 one fused pass (LF application + featurization on each chunk), the
@@ -20,15 +20,13 @@ It also demonstrates the persistent worker runtime behind the
   (*configuration*, e.g. the LF suite and featurizer — never compiled
   plans or open handles); workers build their own suite once per spec
   and then only chunk bytes move.
-* **transport** — ``engine_transport`` picks how those bytes move:
-  ``"pickle"`` streams them over each worker's pipe; ``"shm"`` moves
-  them through reusable shared-memory slots and sends descriptors only.
-  ``"auto"`` uses shm when the platform has it.  shm wins when chunks
-  are large or many (the pipe stops being the bottleneck); for tiny
-  chunks the two are within noise — see the ``engine_transport`` BENCH
-  section.  Results are bit-identical either way.
+* **transport** — chunk candidates and results travel as pickled bytes
+  over each worker's pipe, one chunk in flight per worker.  The pickling
+  time shows up as ``ApplyReport.transport``; when it dominates the
+  compute time, larger chunks amortize it.  Results are bit-identical to
+  the in-process backends.
 * **close** — ``shutdown_pools()`` (also wired to ``atexit``) reaps the
-  workers and unlinks every shared-memory segment.
+  workers.
 
 The run is value-identical to the materialized pipeline on the same
 candidates — this script re-runs materialized (on the default in-process
@@ -70,11 +68,9 @@ def main() -> None:
         streaming=True,
         chunk_size=512,
         # Persistent worker runtime: one pool of NUM_WORKERS long-lived
-        # processes serves every stage; "auto" moves chunk bytes through
-        # shared memory when the platform supports it, pickle otherwise.
+        # processes serves every stage, fed pickled chunks over its pipes.
         applier_backend="processes",
         applier_workers=NUM_WORKERS,
-        engine_transport="auto",
         use_optimizer=False,
         generative_epochs=10,
         discriminative_epochs=10,
@@ -125,8 +121,7 @@ def main() -> None:
     delta = np.abs(result.training_probs - materialized.training_probs).max()
     print(f"max |training prob delta| = {delta:.2e}")
 
-    # Explicit teardown (atexit would also do it): reaps the workers and
-    # unlinks every shared-memory segment the transport created.
+    # Explicit teardown (atexit would also do it): reaps the workers.
     shutdown_pools()
 
 

@@ -2,28 +2,27 @@
 """Crash-recovery gate: kill it every way we know, then prove resume.
 
 The block store claims a SIGKILLed pipeline resumes bit-identically, and
-the worker runtime claims hung workers and torn transport slots are
-detected and survived.  This script is the CI gate on those claims: it
+the worker runtime claims killed and hung workers are detected and
+survived.  This script is the CI gate on those claims: it
 drives the full fault matrix the fault-injection layer
 (:mod:`repro.labeling.engine.faults`) can express —
 
 * master SIGKILLed after N durable chunk blocks, then resumed;
-* master SIGKILLed mid end-model training (after N epochs), then resumed;
+* master SIGKILLed mid end-model training (after N epochs) with live pool
+  workers, then resumed;
 * a block torn *after* its durable rename (crc catches it on reopen, the
   chunk re-executes);
+* a pool worker SIGKILLed mid-chunk (EN100, resubmitted);
 * a worker hung past the chunk deadline (warned, killed, resubmitted —
   EN101);
-* a shared-memory chunk slot corrupted in flight (checksum mismatch,
-  resubmitted — EN102);
 * the disk filling mid-run (checkpointing degrades with one warning, the
   run completes).
 
 Every resumed or degraded run must match an uninterrupted reference run
 bit-for-bit (labels) and to 1e-12 (probabilities, weights).  After all of
-it, the operating system must be back where it started: zero
-``repro-eng-*`` segments in ``/dev/shm``, zero surviving worker
-processes (including workers orphaned by the SIGKILLed masters), zero
-``*.tmp`` residue in any block store.  Exit status 1 on any violation.
+it, the operating system must be back where it started: zero surviving
+worker processes (including workers orphaned by the SIGKILLed masters),
+zero ``*.tmp`` residue in any block store.  Exit status 1 on any violation.
 
     PYTHONPATH=src python scripts/check_crash_recovery.py
 """
@@ -47,10 +46,6 @@ if str(SRC) not in sys.path:
 NUM_LFS = 5
 TRAIN_POINTS = 200
 TEST_POINTS = 60
-
-
-def _segments() -> list[str]:
-    return sorted(glob.glob("/dev/shm/repro-eng-*"))
 
 
 def _reparented_clones() -> list[int]:
@@ -79,7 +74,7 @@ def _reparented_clones() -> list[int]:
     return clones
 
 
-def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto"):
+def run_pipeline(checkpoint_dir=None, backend="sequential"):
     from repro.datasets.synthetic import (
         stream_text_candidates,
         stream_text_gold,
@@ -96,7 +91,6 @@ def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto"):
         num_features=128,
         applier_backend=backend,
         applier_workers=2,
-        engine_transport=transport,
         checkpoint_dir=checkpoint_dir,
     )
     lfs = text_vote_lfs(NUM_LFS)
@@ -107,7 +101,7 @@ def run_pipeline(checkpoint_dir=None, backend="sequential", transport="auto"):
     )
 
 
-def run_and_die(checkpoint_dir, fault_spec, backend="sequential", transport="auto"):
+def run_and_die(checkpoint_dir, fault_spec, backend="sequential"):
     """Fork a child that runs the pipeline under ``fault_spec`` until the
     injected SIGKILL; assert it really died that way."""
     from repro.labeling.engine import runtime
@@ -118,7 +112,7 @@ def run_and_die(checkpoint_dir, fault_spec, backend="sequential", transport="aut
         runtime._POOLS.clear()
         os.environ["REPRO_ENGINE_FAULTS"] = fault_spec
         try:
-            run_pipeline(checkpoint_dir, backend, transport)
+            run_pipeline(checkpoint_dir, backend)
         finally:
             os._exit(1)  # only reached if the injected kill never fired
     _, status = os.waitpid(pid, 0)
@@ -151,12 +145,8 @@ def main() -> int:
 
     from repro.labeling import LFApplier
     from repro.labeling.blockstore import BlockStore, ChunkCheckpointer
-    from repro.labeling.engine import faults, runtime
+    from repro.labeling.engine import faults
     from repro.labeling.engine.runtime import shutdown_pools
-
-    preexisting = _segments()
-    if preexisting:
-        print(f"warning: segments present before the run: {preexisting}")
 
     print("reference run (uninterrupted, no checkpoint)...")
     reference = run_pipeline()
@@ -174,19 +164,14 @@ def main() -> int:
         assert_matches(run_pipeline(root), reference, "die_block resume")
         print("SIGKILL after 2 durable blocks: resumed bit-identically")
 
-        # --- master SIGKILLed mid end-model training, workers + shm active.
-        backend, transport = (
-            ("processes", "shm") if runtime.HAVE_SHM else ("processes", "pickle")
-        )
+        # --- master SIGKILLed mid end-model training, pool workers active.
         root = os.path.join(tmp, "kill-epoch")
         stores.append(root)
-        run_and_die(root, "die_epoch@1", backend, transport)
+        run_and_die(root, "die_epoch@1", "processes")
         with BlockStore(root) as store:
             assert store.get_pickle("epoch/end_model")["epoch"] >= 1
-        assert_matches(
-            run_pipeline(root, backend, transport), reference, "die_epoch resume"
-        )
-        print(f"SIGKILL mid end-model ({backend}/{transport}): resumed bit-identically")
+        assert_matches(run_pipeline(root, "processes"), reference, "die_epoch resume")
+        print("SIGKILL mid end-model (processes): resumed bit-identically")
 
         # --- a block torn after its durable rename: crc catches it on
         # reopen and its chunk re-executes.
@@ -201,7 +186,7 @@ def main() -> int:
         print("torn block: dropped on reopen, chunk re-executed, bit-identical")
 
         # The engine-level faults drive LFApplier directly: a reference
-        # matrix, then a hung worker and a torn shm slot, both resubmitted.
+        # matrix, then a killed worker and a hung one, both resubmitted.
         from repro.datasets.synthetic import stream_text_candidates, text_vote_lfs
 
         lfs = text_vote_lfs(NUM_LFS)
@@ -209,6 +194,21 @@ def main() -> int:
             stream_text_candidates(num_points=TRAIN_POINTS, num_lfs=NUM_LFS, seed=0)
         )
         matrix_ref = LFApplier(lfs).apply(candidates)
+
+        # --- a pool worker is SIGKILLed mid-chunk: EN100, the chunk is
+        # resubmitted to a respawned worker, and the run still matches.
+        shutdown_pools()  # workers must be forked after the plan installs
+        faults.install(f"kill@3:flag={os.path.join(tmp, 'killed-once')}")
+        try:
+            applier = LFApplier(
+                lfs, chunk_size=32, backend="processes", num_workers=2, fault_tolerant=True
+            )
+            matrix = applier.apply(candidates)
+            assert os.path.exists(os.path.join(tmp, "killed-once")), "kill never fired"
+            assert np.array_equal(matrix.values, matrix_ref.values)
+        finally:
+            faults.install(None)
+        print("killed worker: detected (EN100), resubmitted, result correct")
 
         # --- a worker hangs past the chunk deadline: warned, killed,
         # resubmitted (EN101), and the run still completes correctly.
@@ -233,30 +233,6 @@ def main() -> int:
         finally:
             faults.install(None)
         print("hung worker: warned, killed, resubmitted (EN101), result correct")
-
-        # --- a shared-memory chunk slot corrupted in flight: checksum
-        # mismatch (EN102), chunk resubmitted over a fresh worker.
-        if runtime.HAVE_SHM:
-            shutdown_pools()
-            faults.install(
-                f"corrupt_shm@1:flag={os.path.join(tmp, 'corrupted-once')}"
-            )
-            try:
-                applier = LFApplier(
-                    lfs,
-                    chunk_size=32,
-                    backend="processes",
-                    num_workers=2,
-                    transport="shm",
-                    fault_tolerant=True,
-                )
-                matrix = applier.apply(candidates)
-                assert np.array_equal(matrix.values, matrix_ref.values)
-            finally:
-                faults.install(None)
-            print("torn shm slot: detected (EN102), resubmitted, result correct")
-        else:
-            print("torn shm slot: skipped (no shared memory)")
 
         # --- the disk fills mid-run: checkpointing degrades with one
         # warning, the run completes and still matches.
@@ -287,10 +263,6 @@ def main() -> int:
         problems: list[str] = []
         if residue:
             problems.append(f"orphaned temp block files: {residue}")
-        # ...no leaked shared-memory segments...
-        leftovers = [name for name in _segments() if name not in preexisting]
-        if leftovers:
-            problems.append(f"leaked shared-memory segments: {leftovers}")
         # ...and no surviving workers, including ones orphaned by the
         # SIGKILLed masters (they detect the master's death and exit; give
         # them a moment).
@@ -309,8 +281,7 @@ def main() -> int:
         return 1
     print(
         "crash recovery check passed: kill/hang/corruption/disk-full matrix, "
-        "resumes bit-identical, 0 leaked segments, 0 surviving workers, "
-        "0 temp residue"
+        "resumes bit-identical, 0 surviving workers, 0 temp residue"
     )
     return 0
 

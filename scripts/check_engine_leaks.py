@@ -1,32 +1,29 @@
 #!/usr/bin/env python
-"""Engine runtime leak gate: no orphaned segments, no surviving workers.
+"""Engine runtime leak gate: no surviving workers.
 
 The persistent worker runtime owns real operating-system resources — child
-processes and ``/dev/shm`` shared-memory segments — whose leaks a test
-suite can mask (each test cleans up after itself) but a long-lived process
-cannot.  This script is the CI gate on the runtime's ownership discipline:
-it drives the pool through every lifecycle edge that has ever leaked in a
-process-pool design, then asserts the operating system is back to where it
-started:
+processes and the pipes to them — whose leaks a test suite can mask (each
+test cleans up after itself) but a long-lived process cannot.  This
+script is the CI gate on the runtime's ownership discipline: it drives the
+pool through every lifecycle edge that has ever leaked in a process-pool
+design, then asserts the operating system is back to where it started:
 
-* plain runs over both transports (pickle and shm), list- and
-  generator-fed, including the shm ring's growth path (a chunk far larger
-  than the initial slot size);
-* a worker crash mid-run (the master must reclaim the dead worker's
-  segments and its replacement's, not just the happy path's);
+* plain runs, list- and generator-fed, at a small chunk size (many
+  round trips) and a chunk larger than the whole stream (one big pickle
+  each way);
+* a worker crash mid-run (the master must reap the dead worker and its
+  replacement, not just the happy path's workers);
 * a fault-tolerant crash-with-resubmission run;
 * pool shutdown via :func:`repro.labeling.engine.runtime.shutdown_pools`.
 
-After all of that: zero ``repro-eng-*`` entries in ``/dev/shm``, zero
-worker processes among this interpreter's children.  Exit status 1 on any
-leftover, with the leftovers named.
+After all of that: zero worker processes among this interpreter's
+children.  Exit status 1 on any leftover, with the leftovers named.
 
     PYTHONPATH=src python scripts/check_engine_leaks.py
 """
 
 from __future__ import annotations
 
-import glob
 import os
 import sys
 from pathlib import Path
@@ -35,10 +32,6 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
-
-
-def _segments() -> list[str]:
-    return sorted(glob.glob("/dev/shm/repro-eng-*"))
 
 
 def _crash_task(payload, fault_tolerant, index, start_row, candidates):
@@ -71,35 +64,23 @@ def main() -> int:
     )
     from repro.labeling.engine.runtime import get_global_pool, shutdown_pools
 
-    preexisting = _segments()
-    if preexisting:
-        print(f"warning: segments present before the run: {preexisting}")
-
     lfs = synthetic_vote_lfs(6)
     candidates = list(
         stream_synthetic_candidates(num_points=800, num_lfs=6, propensity=0.4, seed=0)
     )
     reference = LFApplier(lfs).apply(candidates)
 
-    # Plain runs over both transports, list- and generator-fed; chunk size 7
-    # exercises many small slots, 4096 exercises ring growth (whole stream
-    # in one slot reservation).
-    for transport in ("pickle", "shm"):
-        for chunk_size in (7, 4096):
-            applier = LFApplier(
-                lfs,
-                chunk_size=chunk_size,
-                backend="processes",
-                num_workers=2,
-                transport=transport,
-            )
-            matrix = applier.apply(candidates)
-            assert np.array_equal(matrix.values, reference.values), transport
-            matrix = applier.apply(iter(candidates), sparse=True)
-            assert np.array_equal(matrix.to_dense().values, reference.values)
+    # Plain runs, list- and generator-fed; chunk size 7 makes many small
+    # round trips, 4096 sends the whole stream as one chunk.
+    for chunk_size in (7, 4096):
+        applier = LFApplier(lfs, chunk_size=chunk_size, backend="processes", num_workers=2)
+        matrix = applier.apply(candidates)
+        assert np.array_equal(matrix.values, reference.values), chunk_size
+        matrix = applier.apply(iter(candidates), sparse=True)
+        assert np.array_equal(matrix.to_dense().values, reference.values)
 
-    # A worker crash mid-run: the pool must reclaim the dead worker's
-    # resources and stay serviceable.
+    # A worker crash mid-run: the pool must reap the dead worker and stay
+    # serviceable.
     pool = get_global_pool(2)
     accumulator = CSRAccumulator()
     try:
@@ -107,7 +88,6 @@ def main() -> int:
             spec=TaskSpec(task=_crash_task, payload=(None, lfs, 2)),
             chunks=iter_chunks(candidates, 50),
             accumulator=accumulator,
-            transport="auto",
         )
         raise AssertionError("crash run unexpectedly succeeded")
     except WorkerCrashError as exc:
@@ -123,7 +103,6 @@ def main() -> int:
             ),
             chunks=iter_chunks(candidates, 50),
             accumulator=accumulator,
-            transport="auto",
         )
         merged = accumulator.merge()
         matrix = np.zeros((len(candidates), len(lfs)), dtype=np.int64)
@@ -133,9 +112,6 @@ def main() -> int:
     shutdown_pools()
 
     problems: list[str] = []
-    leftovers = [name for name in _segments() if name not in preexisting]
-    if leftovers:
-        problems.append(f"leaked shared-memory segments: {leftovers}")
     workers = [
         f"{child.name} (pid {child.pid})"
         for child in multiprocessing.active_children()
@@ -150,8 +126,8 @@ def main() -> int:
             print(f"  - {problem}")
         return 1
     print(
-        "engine leak check passed: transports + crash + resubmission runs, "
-        "0 leaked segments, 0 surviving workers"
+        "engine leak check passed: plain + crash + resubmission runs, "
+        "0 surviving workers"
     )
     return 0
 

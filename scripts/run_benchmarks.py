@@ -37,11 +37,11 @@ snapshot (default ``BENCH_sparse.json`` in the repository root):
   per-candidate loop on the CDR ``lf_library`` suite, with bit-identity
   asserted on every measurement, including a mixed compiled/fallback suite
   (``benchmarks/bench_lf_pushdown.py``);
-* ``engine_transport`` — threads vs the persistent worker pool's pickle and
-  shared-memory chunk transports on the CDR ``lf_library`` suite at chunk
-  sizes 64/512/4096, with bit-identity and a zero-leak shutdown (no
-  orphaned ``/dev/shm`` segments, no surviving worker processes) asserted
-  on every measurement (``benchmarks/bench_engine_transport.py``);
+* ``engine_transport`` — sequential vs threads vs the persistent worker
+  pool (chunks pickled over each worker's pipe) on the CDR ``lf_library``
+  suite at chunk sizes 64/512/4096, with bit-identity and a zero-leak
+  shutdown (no surviving worker processes) asserted on every measurement
+  (``benchmarks/bench_engine_transport.py``);
 * ``block_store`` — the crash-safe block store's mmap replay vs recompute:
   a plain streaming run, the same run paying the checkpoint write
   amplification, and a resume over the complete store (zero LF executions,
@@ -89,6 +89,10 @@ MIN_COMPARE_SECONDS = 0.05
 
 
 def _load_bench_module(name: str):
+    # Benches import their shared helpers (``_measure``) by name.
+    benchmarks = str(REPO_ROOT / "benchmarks")
+    if benchmarks not in sys.path:
+        sys.path.insert(0, benchmarks)
     spec = importlib.util.spec_from_file_location(
         name, REPO_ROOT / "benchmarks" / f"{name}.py"
     )
@@ -245,17 +249,15 @@ def measure(quick: bool = False) -> dict:
     )
     print(engine_transport.format_records(engine_transport_records))
     # The runtime's cardinal rules, asserted on every snapshot (quick or
-    # full): every transport emits the sequential label matrix bit for bit,
-    # and shutting the pools down leaks no segments or worker processes.
+    # full): every backend emits the sequential label matrix bit for bit,
+    # and shutting the pools down leaves no worker processes.
     assert all(
         record["identical"] for record in engine_transport_records
-    ), "transport labels diverged"
+    ), "backend labels diverged"
     from repro.labeling.engine.runtime import shutdown_pools
 
     shutdown_pools()
-    assert (
-        engine_transport.leftover_segments() == []
-    ), "engine shared-memory segments leaked"
+    assert engine_transport.leftover_workers() == [], "engine worker processes leaked"
     print("\n[block_store]")
     block_store_record = block_store.run_block_store_benchmark(
         **(

@@ -1,11 +1,12 @@
 """Engine-routed streaming featurization.
 
-LF application has run on the :mod:`repro.labeling.engine` executors since
-PR 2; this module gives featurization the same treatment.
-:func:`featurize_stream` maps candidate chunks to CSR feature blocks via
+LF application runs on the :mod:`repro.labeling.engine` executors; this
+module gives featurization the same treatment.  :func:`featurize_stream`
+maps candidate chunks to CSR feature blocks via
 :func:`repro.labeling.engine.tasks.featurize_chunk` — sequential, threaded,
-or process-parallel, with the engine's windowed submission bounding in-flight
-memory — and merges them through the existing accumulator machinery into one
+or on the persistent worker pool (chunks pickled over each worker's pipe),
+with the engine's windowed submission bounding in-flight memory — and
+merges them through the existing accumulator machinery into one
 :class:`~repro.discriminative.sparse_features.CSRFeatureMatrix`.  The
 produced matrix is bit-identical to ``featurizer.transform(candidates,
 sparse=True)`` for every backend and chunk size (the differential suite in
@@ -34,16 +35,13 @@ def featurize_stream(
     backend: str = "sequential",
     num_workers: Optional[int] = 1,
     max_pending: Optional[int] = None,
-    transport: str = "auto",
 ) -> CSRFeatureMatrix:
     """Featurize a candidate iterable through the execution engine.
 
     Parameters mirror :class:`repro.labeling.applier.LFApplier`: the
     candidate iterable may be a list, generator, or cursor (consumed chunk
     by chunk); ``backend`` selects the executor; ``max_pending`` bounds the
-    in-flight window; ``transport`` picks the processes backend's chunk
-    transport (pickled pipe bytes or shared-memory slots — results are
-    bit-identical).  The process backend runs on the persistent worker pool
+    in-flight window.  The process backend runs on the persistent worker pool
     (:mod:`repro.labeling.engine.runtime`), so a featurize stream following
     an LF apply in the same process reuses the already-spawned workers.
     ``featurizer`` must be fitted — the fitted check also runs worker-side
@@ -56,7 +54,6 @@ def featurize_stream(
         backend=backend,
         num_workers=num_workers,
         max_pending=max_pending,
-        transport=transport,
     )
     result = run_plan(featurizer, candidates, plan, task=featurize_chunk)
     return CSRFeatureMatrix.from_triples(

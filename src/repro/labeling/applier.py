@@ -13,7 +13,7 @@ three pieces:
 * pluggable **executors** — ``sequential`` (in-process loop), ``threads``
   (``concurrent.futures``), and ``processes`` (the persistent worker runtime
   of :mod:`repro.labeling.engine.runtime`: long-lived workers shared across
-  applies, with chunks moving over a pickle or shared-memory ``transport``)
+  applies, with chunks moving as pickled bytes over each worker's pipe)
   — that schedule chunks with a bounded in-flight window;
 * a per-chunk **accumulator** that collects each worker's non-abstain labels
   as CSR triple blocks and merges them deterministically at the end.
@@ -94,7 +94,7 @@ class ApplyReport:
         (see :class:`repro.labeling.pushdown.PushdownSummary`), or ``None``
         when ``pushdown="off"``.
     transport_seconds:
-        Per-chunk serialization/copy seconds, in chunk order — disjoint from
+        Per-chunk serialization seconds, in chunk order — disjoint from
         ``chunk_seconds`` (pure compute).  All zeros for the in-process
         backends, where chunks never cross a process boundary.
     transport:
@@ -131,18 +131,14 @@ class TransportSummary:
     """How one apply run split its time between moving bytes and computing
     (``ApplyReport.transport``), in the style of ``ApplyReport.pushdown``.
 
-    ``mode`` is the resolved chunk transport: ``"inline"`` for the
-    in-process backends (nothing crosses a process boundary, so
-    ``transport_seconds`` is 0), ``"pickle"`` or ``"shm"`` for the
-    processes backend.  ``transport_seconds`` sums the per-chunk
-    serialization/copy time (master-side pickling of candidates, worker
-    decode/encode, master-side result claim); ``compute_seconds`` sums the
+    ``transport_seconds`` sums the per-chunk pickling time of the processes
+    backend (master-side pickling of candidates, worker decode/encode,
+    master-side result unpickling); it is 0 for the in-process backends,
+    where nothing crosses a process boundary.  ``compute_seconds`` sums the
     per-chunk task time.  The two are disjoint, so their ratio says whether
-    a run is transport-bound — the signal for switching ``transport`` or
-    growing ``chunk_size``.
+    a run is transport-bound — the signal for growing ``chunk_size``.
     """
 
-    mode: str = "inline"
     compute_seconds: float = 0.0
     transport_seconds: float = 0.0
 
@@ -193,13 +189,6 @@ class LFApplier:
         the analyzer's or compiler's reason.  Labels, error counts, and
         error breakdowns are bit-identical to ``"off"`` in every mode, for
         every backend and chunk size.
-    transport:
-        Chunk transport of the processes backend (see
-        :data:`repro.labeling.engine.plan.TRANSPORTS`): ``"pickle"`` moves
-        chunks/results as pickled bytes over each worker's pipe, ``"shm"``
-        moves the bulk bytes through reusable shared-memory slots, and
-        ``"auto"`` (default) picks ``shm`` when available.  Results are
-        bit-identical across transports; in-process backends ignore it.
     chunk_timeout:
         Soft per-chunk deadline in seconds for the processes backend: past
         it the worker draws a warning, past the escalation point it is
@@ -217,7 +206,6 @@ class LFApplier:
         num_workers: Optional[int] = 1,
         validate: str = "off",
         pushdown: str = "off",
-        transport: str = "auto",
         chunk_timeout: Optional[float] = None,
     ) -> None:
         if not lfs:
@@ -247,7 +235,6 @@ class LFApplier:
             backend=backend,
             num_workers=num_workers,
             fault_tolerant=fault_tolerant,
-            transport=transport,
             chunk_timeout=chunk_timeout,
         )
         self.lfs = list(lfs)
@@ -258,7 +245,6 @@ class LFApplier:
         self.num_workers = num_workers
         self.validate = validate
         self.pushdown = pushdown
-        self.transport = transport
         self.chunk_timeout = chunk_timeout
         self.last_report: Optional[ApplyReport] = None
         # Compiled plans keyed by the identity of the LF suite (the public
@@ -412,7 +398,6 @@ class LFApplier:
                 pushdown_plan, result.lf_seconds
             )
         transport_summary = TransportSummary(
-            mode=result.transport,
             compute_seconds=float(sum(result.chunk_seconds)),
             transport_seconds=float(sum(result.transport_seconds)),
         )
@@ -464,7 +449,6 @@ class LFApplier:
             backend=self.backend,
             num_workers=self.num_workers,
             fault_tolerant=self.fault_tolerant,
-            transport=self.transport,
             chunk_timeout=self.chunk_timeout,
         )
         pushdown_plan = self._pushdown_plan()
@@ -564,7 +548,6 @@ class LFApplier:
             backend=self.backend,
             num_workers=self.num_workers,
             fault_tolerant=self.fault_tolerant,
-            transport=self.transport,
             chunk_timeout=self.chunk_timeout,
         )
         pushdown_plan = self._pushdown_plan()

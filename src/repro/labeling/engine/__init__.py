@@ -28,21 +28,17 @@ from repro.labeling.engine.executors import (
 )
 from repro.labeling.engine.plan import (
     BACKENDS,
-    TRANSPORTS,
     Chunk,
     ExecutionPlan,
     available_workers,
     iter_chunks,
 )
 from repro.labeling.engine.runtime import (
-    HAVE_SHM,
     TaskSpec,
-    TransportCorruptionError,
     WorkerCrashError,
     WorkerPool,
     WorkerTimeoutError,
     get_global_pool,
-    resolve_transport,
     run_attached_chunk,
     shutdown_pools,
 )
@@ -56,13 +52,10 @@ __all__ = [
     "CSRAccumulator",
     "EngineResult",
     "ExecutionPlan",
-    "HAVE_SHM",
     "ProcessPoolChunkExecutor",
     "SequentialExecutor",
-    "TRANSPORTS",
     "TaskSpec",
     "ThreadPoolChunkExecutor",
-    "TransportCorruptionError",
     "WorkerCrashError",
     "WorkerPool",
     "WorkerTimeoutError",
@@ -73,7 +66,6 @@ __all__ = [
     "get_global_pool",
     "iter_chunks",
     "label_and_featurize_chunk",
-    "resolve_transport",
     "run_attached_chunk",
     "run_plan",
     "shutdown_pools",

@@ -80,9 +80,9 @@ class ChunkResult:
     #: (``None`` for tasks that don't track it, e.g. featurization).
     lf_seconds: Optional[dict[str, float]] = None
     #: Wall-clock seconds spent moving this chunk between processes —
-    #: serialization, shared-memory copies, and descriptor claims, summed
-    #: over both directions.  ``0.0`` for in-process execution, where no
-    #: transport happens; disjoint from ``seconds`` (pure compute).
+    #: pickling and unpickling, summed over both directions.  ``0.0`` for
+    #: in-process execution, where no transport happens; disjoint from
+    #: ``seconds`` (pure compute).
     transport_seconds: float = 0.0
     #: Secondary triple block produced by a fused chunk task (e.g. the CSR
     #: feature block riding along with the labels); consumed master-side by
@@ -104,12 +104,11 @@ class ChunkResult:
 def detach_arrays(result: ChunkResult) -> tuple[ChunkResult, list[np.ndarray]]:
     """Split a result into (array-free metadata, its triple arrays).
 
-    The shared-memory transport ships the returned arrays as raw blocks in a
-    worker's inbound ring and only pickles the metadata through the pipe; the
-    array order is fixed (primary ``row_offsets, cols, values``, then the
-    same three for an attached ``features`` block) so
-    :func:`attach_arrays` can reassemble the result from positional
-    descriptors.  The original result is not mutated.
+    The block store persists the returned arrays as raw array blocks and
+    only pickles the metadata; the array order is fixed (primary
+    ``row_offsets, cols, values``, then the same three for an attached
+    ``features`` block) so :func:`attach_arrays` can reassemble the result
+    from positional descriptors.  The original result is not mutated.
     """
     arrays = [result.row_offsets, result.cols, result.values]
     features = result.features
@@ -123,7 +122,7 @@ def detach_arrays(result: ChunkResult) -> tuple[ChunkResult, list[np.ndarray]]:
 
 
 def attach_arrays(meta: ChunkResult, arrays: list[np.ndarray]) -> ChunkResult:
-    """Inverse of :func:`detach_arrays`: claim transported arrays back."""
+    """Inverse of :func:`detach_arrays`: reassemble a result from its arrays."""
     result = replace(
         meta, row_offsets=arrays[0], cols=arrays[1], values=arrays[2]
     )

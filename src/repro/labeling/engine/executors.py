@@ -19,9 +19,8 @@ label+featurize tasks that ride the same executors.  The executors are:
   task payload (LF list, featurizer, ...) is attached once as a
   :class:`~repro.labeling.engine.runtime.TaskSpec` (pickled when possible,
   inherited via ``fork`` respawn otherwise, so closures still work); the
-  candidate chunks then travel over the plan's ``transport`` — pickled
-  bytes on the pipe, or zero-copy-claimed ``multiprocessing.shared_memory``
-  slots — and must be picklable.
+  candidate chunks then travel as pickled bytes over each worker's pipe
+  and must be picklable.
 
 The pool executors use windowed submission: at most ``plan.pending_limit()``
 chunks are in flight, so a generator-fed run keeps bounded memory no matter
@@ -75,10 +74,7 @@ class EngineResult:
     #: Per-LF wall-clock totals (summed over chunks; empty when the task
     #: does not report them, e.g. pure featurization).
     lf_seconds: dict[str, float] = field(default_factory=dict)
-    #: Resolved chunk transport: ``"inline"`` for in-process backends,
-    #: ``"pickle"`` or ``"shm"`` for the processes backend.
-    transport: str = "inline"
-    #: Per-chunk serialization/copy seconds, in chunk order — disjoint from
+    #: Per-chunk serialization seconds, in chunk order — disjoint from
     #: ``chunk_seconds`` (pure compute), so transport overhead is
     #: attributable per run (all zeros for in-process backends).
     transport_seconds: list[float] = field(default_factory=list)
@@ -167,8 +163,8 @@ class ProcessPoolChunkExecutor:
     per-process :func:`~repro.labeling.engine.runtime.get_global_pool` for
     ``plan.effective_workers()``, attaches the task/payload as a
     :class:`~repro.labeling.engine.runtime.TaskSpec` (a no-op when the same
-    suite was attached before), and streams only chunk payloads over the
-    plan's ``transport``.  Under the ``fork`` start method unpicklable
+    suite was attached before), and streams only pickled chunk payloads over
+    each worker's pipe.  Under the ``fork`` start method unpicklable
     payloads (closure LFs, compiled pushdown plans) still work — the pool
     respawns its workers once so the spec is inherited by memory.  Under
     ``spawn`` (macOS / Windows) the spec itself must be picklable.
@@ -193,7 +189,6 @@ class ProcessPoolChunkExecutor:
             spec,
             chunks,
             accumulator,
-            transport=plan.transport,
             pending_limit=plan.pending_limit(),
             chunk_timeout=plan.chunk_timeout,
         )
@@ -277,12 +272,6 @@ def run_plan(
     executor = get_executor(plan.backend)
     executor.execute(plan, payload, chunks, accumulator, task, spec=spec)
     merged = accumulator.merge()
-    if plan.backend == "processes":
-        from repro.labeling.engine.runtime import resolve_transport
-
-        transport = resolve_transport(plan.transport)
-    else:
-        transport = "inline"
     return EngineResult(
         num_candidates=merged.num_candidates,
         num_chunks=merged.num_chunks,
@@ -295,6 +284,5 @@ def run_plan(
         backend=plan.backend,
         num_workers=plan.effective_workers(),
         lf_seconds=merged.lf_seconds,
-        transport=transport,
         transport_seconds=merged.transport_seconds,
     )

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the engine runtime and block store.
 
 The runtime claims to survive worker crashes, hung workers, torn
-shared-memory slots, torn block-store writes, and full disks — claims that
+block-store writes, and full disks — claims that
 are worthless untested, and untestable without a way to *cause* each
 failure at an exact, reproducible point.  This module is that way: a fault
 plan is a tiny spec string naming (action, trigger ordinal) pairs, parsed
@@ -15,8 +15,6 @@ optional ``:key=value`` options::
 
     kill@3                    SIGKILL the worker handed chunk 3
     hang@5:seconds=600        sleep inside chunk 5 (EN101 timeout fodder)
-    corrupt_shm@2             flip a byte of chunk 2's shm slot after write
-    corrupt_result@2          flip a byte of chunk 2's result ring blocks
     disk_full@4               the 5th block-store write raises ENOSPC
     corrupt_block@1           flip a byte of the 2nd durably written block
     die_block@6               SIGKILL the *master* after 7 durable blocks
@@ -52,7 +50,6 @@ __all__ = [
     "FaultRule",
     "active_plan",
     "corrupt_block_file",
-    "corrupt_shm_slot",
     "install",
     "maybe_die_at_block",
     "maybe_die_at_epoch",
@@ -70,8 +67,6 @@ ENV_VAR = "REPRO_ENGINE_FAULTS"
 ACTIONS = (
     "kill",  # maybe_fail_chunk (worker side)
     "hang",  # maybe_fail_chunk (worker side)
-    "corrupt_shm",  # corrupt_shm_slot (master side, outbound chunk bytes)
-    "corrupt_result",  # corrupt_shm_slot (worker side, inbound result bytes)
     "disk_full",  # maybe_disk_full (block-store writes)
     "corrupt_block",  # corrupt_block_file (block-store durable files)
     "die_block",  # maybe_die_at_block (master SIGKILL after N durable blocks)
@@ -197,24 +192,6 @@ def maybe_fail_chunk(index: int) -> None:
     rule = plan.matching("hang", index)
     if rule is not None:
         time.sleep(rule.seconds)
-
-
-def corrupt_shm_slot(action: str, index: int, buf, offset: int, length: int) -> bool:
-    """Flip one byte of ``buf[offset:offset+length]`` on a matching chunk.
-
-    ``action`` is ``"corrupt_shm"`` (master corrupting the outbound chunk
-    slot) or ``"corrupt_result"`` (worker corrupting its inbound result
-    blocks).  Returns whether a byte was flipped — callers must *not* refresh
-    their checksum afterwards; the mismatch is the point.
-    """
-    plan = active_plan()
-    if plan is None or length == 0:
-        return False
-    if plan.matching(action, index) is None:
-        return False
-    position = offset + length // 2
-    buf[position] = buf[position] ^ 0xFF
-    return True
 
 
 def maybe_disk_full(ordinal: int) -> None:

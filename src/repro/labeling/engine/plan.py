@@ -22,15 +22,6 @@ from repro.exceptions import LabelingError
 #: Executor backends understood by the engine.
 BACKENDS = ("sequential", "threads", "processes")
 
-#: Chunk transports of the processes backend (see
-#: :mod:`repro.labeling.engine.runtime`).  ``"pickle"`` moves chunks and
-#: results as pickled bytes over each worker's pipe; ``"shm"`` moves the
-#: bulk bytes/arrays through reusable ``multiprocessing.shared_memory``
-#: slots with only descriptors on the pipe; ``"auto"`` picks ``shm`` when
-#: the interpreter supports it.  Results are bit-identical across
-#: transports; in-process backends ignore the setting.
-TRANSPORTS = ("auto", "pickle", "shm")
-
 
 class Chunk(NamedTuple):
     """One work unit: a contiguous run of candidates with its global offset."""
@@ -61,8 +52,9 @@ class ExecutionPlan:
         ``"sequential"`` (in-process loop), ``"threads"``
         (``concurrent.futures.ThreadPoolExecutor`` — effective for
         latency-bound LFs that release the GIL or wait on I/O), or
-        ``"processes"`` (``ProcessPoolExecutor`` — effective for CPU-bound
-        LFs; candidates must be picklable).
+        ``"processes"`` (the persistent worker pool of
+        :mod:`repro.labeling.engine.runtime` — effective for CPU-bound LFs;
+        candidates must be picklable).
     num_workers:
         Worker count for the pool backends; ``None`` means one worker per
         available CPU.  Ignored by the sequential backend.
@@ -71,13 +63,11 @@ class ExecutionPlan:
         to abstentions; when ``False`` the first exception aborts the run.
     max_pending:
         Upper bound on chunks in flight at once (submitted but not yet
-        merged).  Defaults to ``2 × workers`` — the backpressure that keeps
-        a generator-fed run out-of-core instead of draining the stream into
-        the pool's queue.
-    transport:
-        Chunk transport of the processes backend (see :data:`TRANSPORTS`);
-        ignored by the in-process backends.  Results are bit-identical
-        across transports.
+        merged) — the backpressure that keeps a generator-fed run
+        out-of-core instead of draining the stream into the pool's queue.
+        The threads backend defaults to ``2 × workers``; the processes
+        backend never keeps more than one chunk per worker in flight, so
+        there the bound only bites below ``workers``.
     chunk_timeout:
         Soft per-chunk deadline in seconds for the processes backend: a
         chunk in flight past the deadline draws a warning, and past the
@@ -93,7 +83,6 @@ class ExecutionPlan:
     num_workers: Optional[int] = 1
     fault_tolerant: bool = False
     max_pending: Optional[int] = None
-    transport: str = "auto"
     chunk_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -102,10 +91,6 @@ class ExecutionPlan:
         if self.backend not in BACKENDS:
             raise LabelingError(
                 f"unknown executor backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        if self.transport not in TRANSPORTS:
-            raise LabelingError(
-                f"unknown transport {self.transport!r}; expected one of {TRANSPORTS}"
             )
         if self.num_workers is not None and self.num_workers < 1:
             raise LabelingError(f"num_workers must be >= 1, got {self.num_workers}")

@@ -1,4 +1,4 @@
-"""The persistent worker runtime: long-lived processes + shared-memory transport.
+"""The persistent worker runtime: long-lived processes fed chunks over pipes.
 
 Before this module, the ``processes`` backend built a fresh
 ``ProcessPoolExecutor`` inside every ``apply`` call — even back-to-back
@@ -19,27 +19,11 @@ closures under the ``fork`` start method), the pool respawns its workers so
 the spec is inherited by memory — the same trick the old executor played
 with initializer args, but amortized across every subsequent run.
 
-Two transports move the bulk data (``transport="pickle"|"shm"|"auto"``):
-
-* ``pickle`` — chunk candidates and results travel as pickled bytes over
-  each worker's duplex pipe.  Always available; the fallback.
-* ``shm`` — pickled candidate bytes go out through a per-worker ring of
-  reusable ``multiprocessing.shared_memory`` slots, and result triple/
-  feature arrays come back as raw array blocks in a worker-owned inbound
-  ring, described by ``(name, offset, dtype, count)`` descriptors; only the
-  small result metadata crosses the pipe.  Results are bit-identical to the
-  ``pickle`` transport — the differential suite in
-  ``tests/test_engine_transport.py`` pins this down.
-
-Segment ownership is asymmetric by design: workers create and write their
-inbound rings but only the *master* ever unlinks a segment (exactly once),
-which keeps the shared resource tracker's bookkeeping balanced under the
-``fork`` start method.  Ring slots are reused under a per-worker in-flight
-cap (2 for ``shm``, 1 for ``pickle`` — the pipe transport must never let the
-master block on a large send while a worker blocks sending a result, which
-would deadlock), results are claimed (copied out) immediately on receipt,
-and retired segments are unlinked only after a result proves the worker has
-moved to the replacement — so no slot is overwritten before it is drained.
+Chunks move as pickled bytes over each worker's duplex pipe, in both
+directions: the master pickles a chunk's candidates and sends them with the
+task message, the worker pickles the :class:`ChunkResult` back.  Each worker
+holds at most one chunk in flight (:data:`_WORKER_DEPTH`), and results are
+unpickled and accumulated as soon as they arrive.
 
 Crash handling: the master waits on each worker's pipe *and* process
 sentinel.  A worker that dies mid-run surfaces as :class:`WorkerCrashError`
@@ -56,46 +40,27 @@ import atexit
 import os
 import pickle
 import signal
+import threading
 import time
 import traceback
 import warnings
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection, get_context
 from typing import Callable, Iterator, Optional
 
-import numpy as np
-
 from repro.exceptions import LabelingError
 from repro.labeling.engine import faults
-from repro.labeling.engine.accumulator import (
-    ChunkResult,
-    CSRAccumulator,
-    attach_arrays,
-    detach_arrays,
-)
-from repro.labeling.engine.plan import TRANSPORTS, Chunk
-
-try:  # pragma: no cover - import guard exercised only on exotic builds
-    from multiprocessing import shared_memory as _shm
-
-    HAVE_SHM = True
-except ImportError:  # pragma: no cover
-    _shm = None
-    HAVE_SHM = False
+from repro.labeling.engine.accumulator import ChunkResult, CSRAccumulator
+from repro.labeling.engine.plan import Chunk
 
 __all__ = [
-    "HAVE_SHM",
     "MAX_CHUNK_ATTEMPTS",
-    "TRANSPORTS",
     "TaskSpec",
-    "TransportCorruptionError",
     "WorkerCrashError",
     "WorkerPool",
     "WorkerTimeoutError",
     "get_global_pool",
-    "resolve_transport",
     "run_attached_chunk",
     "shutdown_pools",
 ]
@@ -115,30 +80,13 @@ TIMEOUT_ESCALATION = 2.0
 #: detached (workers drop the built payload; the master forgets the spec id).
 MAX_ATTACHED_SPECS = 8
 
-#: Per-worker in-flight chunk cap by transport.  ``shm`` pipelines two chunks
-#: per worker (ring slots alternate, control messages are tiny so the master
-#: never blocks on a send).  ``pickle`` must stay at one: with a chunk in
-#: flight, a large candidate send can fill the pipe while the worker blocks
-#: sending a large result the master is not reading — a deadlock.
-_TRANSPORT_DEPTH = {"shm": 2, "pickle": 1}
+#: Chunks in flight per worker.  It must stay at one: with a second chunk
+#: in flight, a large candidate send can fill the pipe while the worker
+#: blocks sending a large result the master is not reading — a deadlock.
+_WORKER_DEPTH = 1
 
-_RING_MIN_SLOT = 1 << 16
-
-
-def resolve_transport(transport: str) -> str:
-    """Resolve an ``ExecutionPlan.transport`` value to a concrete transport."""
-    if transport not in TRANSPORTS:
-        raise LabelingError(
-            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-        )
-    if transport == "auto":
-        return "shm" if HAVE_SHM else "pickle"
-    if transport == "shm" and not HAVE_SHM:  # pragma: no cover - exotic builds
-        raise LabelingError(
-            'transport="shm" requires multiprocessing.shared_memory, which '
-            'this interpreter lacks; use transport="pickle"'
-        )
-    return transport
+#: How often a worker's watchdog thread checks that its master still lives.
+_ORPHAN_POLL_SECONDS = 0.5
 
 
 class WorkerCrashError(LabelingError):
@@ -188,34 +136,6 @@ class WorkerTimeoutError(WorkerCrashError):
             f"{timeout:g}s chunk deadline on chunk {chunk_index} and was "
             f"killed (attempt {attempts}/{MAX_CHUNK_ATTEMPTS})",
         )
-
-
-class TransportCorruptionError(LabelingError):
-    """A transported payload failed its checksum (engine error EN102).
-
-    Every shm-transport payload (the pickled candidate bytes going out, each
-    result array block coming back) carries a crc32; a mismatch means the
-    ring slot was torn or overwritten.  Fault-tolerant runs resubmit the
-    chunk (bounded by :data:`MAX_CHUNK_ATTEMPTS`) — the data is still
-    upstream, so corruption in transit is retryable, unlike a task error.
-    """
-
-    code = "EN102"
-
-    def __init__(self, chunk_index: int, direction: str, expected: int, actual: int) -> None:
-        self.chunk_index = chunk_index
-        self._init_args = (chunk_index, direction, expected, actual)
-        super().__init__(
-            f"[{self.code}] {direction} payload of chunk {chunk_index} failed "
-            f"its checksum (expected {expected:#010x}, got {actual:#010x}); "
-            "the shared-memory slot was torn or overwritten"
-        )
-
-    def __reduce__(self):
-        # The worker pickles this through the pipe; default exception
-        # reduction would replay ``args`` (the message) into the four-field
-        # constructor, so spell the constructor call out.
-        return (type(self), self._init_args)
 
 
 @dataclass(frozen=True)
@@ -298,67 +218,25 @@ def _rebuild_exc(payload: tuple) -> BaseException:
     return exc
 
 
-def _align(nbytes: int) -> int:
-    return (nbytes + 63) & ~63
-
-
-class _SlotRing:
-    """A shared-memory segment split into ``depth`` reusable slots.
-
-    Slot ``seq % depth`` carries the payload of task/result ``seq``; the
-    submission protocol guarantees a slot is never rewritten before its
-    previous occupant was claimed.  A payload larger than the current slot
-    size retires the whole segment and allocates a bigger one (geometric
-    growth) — the retired segment is returned to the caller, because only
-    the caller knows when the peer has stopped reading it.
-    """
-
-    def __init__(self, base_name: str, depth: int) -> None:
-        self.base_name = base_name
-        self.depth = depth
-        self.segment = None
-        self.slot_bytes = 0
-        self._generation = 0
-
-    def reserve(self, seq: int, nbytes: int) -> tuple[str, int, object]:
-        """Return ``(segment_name, offset, retired_segment_or_None)``."""
-        needed = max(_align(nbytes), 64)
-        retired = None
-        if self.segment is None or needed > self.slot_bytes:
-            retired = self.segment
-            self.slot_bytes = max(needed, 2 * self.slot_bytes, _RING_MIN_SLOT)
-            name = f"{self.base_name}g{self._generation}"
-            self._generation += 1
-            self.segment = _shm.SharedMemory(
-                name=name, create=True, size=self.slot_bytes * self.depth
-            )
-        return self.segment.name, (seq % self.depth) * self.slot_bytes, retired
-
-    def release(self, unlink: bool) -> None:
-        if self.segment is not None:
-            _release_segment(self.segment, unlink=unlink)
-            self.segment = None
-            self.slot_bytes = 0
-
-
-def _release_segment(segment, unlink: bool) -> None:
-    try:
-        segment.close()
-    except BufferError:  # pragma: no cover - an un-released view; leak mapping
-        return
-    if unlink:
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already swept
-            pass
-
-
 # --------------------------------------------------------------------------
 # Worker side
 # --------------------------------------------------------------------------
 
 
-def _worker_main(conn, inherited_specs: dict, inbound_base: str) -> None:
+def _exit_when_orphaned(master_pid: int) -> None:
+    """Watchdog thread body: end this worker once its master is gone.
+
+    The pipe cannot report the master's death: this worker (and every
+    sibling forked after it) still holds the master's end of its pair, so a
+    blocking ``recv`` never sees EOF and a large ``send`` never gets EPIPE.
+    Reparenting changes our ppid, whatever the main thread is blocked in.
+    """
+    while os.getppid() == master_pid:
+        time.sleep(_ORPHAN_POLL_SECONDS)
+    os._exit(1)
+
+
+def _worker_main(conn, inherited_specs: dict) -> None:
     """The worker loop: attach specs, run chunks, ship results back.
 
     ``inherited_specs`` arrived through the ``fork`` start method (by
@@ -366,11 +244,11 @@ def _worker_main(conn, inherited_specs: dict, inbound_base: str) -> None:
     arrive as ``("attach", sid, bytes)`` messages when they pickle.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    master_pid = os.getppid()
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
+    ).start()
     attached: dict[int, _AttachedSpec] = {}
     broken: dict[int, tuple] = {}
-    outbound: dict[str, object] = {}
-    ring = _SlotRing(inbound_base, depth=max(_TRANSPORT_DEPTH.values())) if HAVE_SHM else None
 
     def build(sid, spec) -> None:
         try:
@@ -384,13 +262,6 @@ def _worker_main(conn, inherited_specs: dict, inbound_base: str) -> None:
             build(sid, spec)
         while True:
             try:
-                # A blocking recv() would never see EOF after the master is
-                # SIGKILLed — sibling workers hold inherited write ends of
-                # this pipe — so poll with a timeout and watch for the
-                # master's death (reparenting changes our ppid).
-                while not conn.poll(1.0):
-                    if os.getppid() != master_pid:  # pragma: no cover
-                        return
                 msg = conn.recv()
             except (EOFError, OSError):  # pragma: no cover - master vanished
                 break
@@ -410,51 +281,21 @@ def _worker_main(conn, inherited_specs: dict, inbound_base: str) -> None:
                 attached.pop(msg[1], None)
                 broken.pop(msg[1], None)
             elif kind == "task":
-                _, sid, seq, index, start_row, meta = msg
-                _worker_run_task(
-                    conn, attached, broken, outbound, ring, sid, seq, index, start_row, meta
-                )
+                _, sid, index, start_row, blob = msg
+                _worker_run_task(conn, attached, broken, sid, index, start_row, blob)
     finally:
-        for segment in outbound.values():
-            _release_segment(segment, unlink=False)
-        if ring is not None:
-            # The master unlinks inbound segments it attached; segments it
-            # never saw are swept by name prefix at pool close.
-            ring.release(unlink=False)
         conn.close()
 
 
-def _worker_run_task(
-    conn, attached, broken, outbound, ring, sid, seq, index, start_row, meta
-) -> None:
+def _worker_run_task(conn, attached, broken, sid, index, start_row, blob) -> None:
     decode_start = time.perf_counter()
     try:
-        if meta[0] == "shm":
-            _, name, offset, length, crc = meta
-            segment = outbound.get(name)
-            if segment is None:
-                # The master grew its outbound ring: every older segment is
-                # retired (tasks arrive in order) — drop them before attaching.
-                for old in outbound.values():
-                    _release_segment(old, unlink=False)
-                outbound.clear()
-                segment = _shm.SharedMemory(name=name)
-                outbound[name] = segment
-            blob = bytes(segment.buf[offset : offset + length])
-            actual = zlib.crc32(blob)
-            if actual != crc:
-                # The slot no longer holds what the master wrote — torn or
-                # overwritten.  A coded, retryable error: the candidates are
-                # still master-side, so a resubmission rewrites the slot.
-                raise TransportCorruptionError(index, "chunk", crc, actual)
-            candidates = pickle.loads(blob)
-        else:
-            candidates = pickle.loads(meta[1])
+        candidates = pickle.loads(blob)
     except Exception as exc:
         # A decode failure is a per-chunk task error, not a worker death: a
         # raw raise here would kill the process and surface as an opaque
         # EN100 crash (and a doomed FT resubmit) instead of naming the cause.
-        conn.send(("error", seq, index, _exc_payload(exc)))
+        conn.send(("error", index, _exc_payload(exc)))
         return
     transport_seconds = time.perf_counter() - decode_start
 
@@ -467,50 +308,18 @@ def _worker_run_task(
         payload = broken.get(sid) or _exc_payload(
             LabelingError(f"task spec {sid} is not attached to this worker")
         )
-        conn.send(("error", seq, index, payload))
+        conn.send(("error", index, payload))
         return
     try:
         result = run_attached_chunk(spec, spec.fault_tolerant, index, start_row, candidates)
     except Exception as exc:
-        conn.send(("error", seq, index, _exc_payload(exc)))
+        conn.send(("error", index, _exc_payload(exc)))
         return
 
     encode_start = time.perf_counter()
-    if ring is not None and meta[0] == "shm":
-        meta_result, arrays = detach_arrays(result)
-        name, base, retired = ring.reserve(seq, sum(_align(a.nbytes) for a in arrays))
-        if retired is not None:
-            # Master still claims older results from the retired segment (it
-            # unlinks it on seeing the new name); this side just unmaps.
-            _release_segment(retired, unlink=False)
-        blocks = []
-        offset = base
-        for array in arrays:
-            if array.nbytes:
-                view = np.frombuffer(
-                    ring.segment.buf, dtype=array.dtype, count=array.size, offset=offset
-                )
-                view[:] = array
-                del view
-            # Each block descriptor carries the crc of the slot bytes so the
-            # master can detect a torn/overwritten ring slot (EN102) instead
-            # of merging garbage triples.
-            crc = zlib.crc32(ring.segment.buf[offset : offset + array.nbytes])
-            blocks.append((offset, array.dtype.str, array.size, crc))
-            offset += _align(array.nbytes)
-        for block_offset, dtype_str, count, _crc in blocks:
-            nbytes = count * np.dtype(dtype_str).itemsize
-            if nbytes:
-                faults.corrupt_shm_slot(
-                    "corrupt_result", index, ring.segment.buf, block_offset, nbytes
-                )
-                break
-        transport_seconds += time.perf_counter() - encode_start
-        conn.send(("result", seq, index, ("shm", name, blocks, meta_result, transport_seconds)))
-    else:
-        blob = pickle.dumps(result, _PICKLE_PROTOCOL)
-        transport_seconds += time.perf_counter() - encode_start
-        conn.send(("result", seq, index, ("pipe", blob, transport_seconds)))
+    blob = pickle.dumps(result, _PICKLE_PROTOCOL)
+    transport_seconds += time.perf_counter() - encode_start
+    conn.send(("result", blob, transport_seconds))
 
 
 # --------------------------------------------------------------------------
@@ -520,7 +329,6 @@ def _worker_run_task(
 
 @dataclass
 class _InFlight:
-    seq: int
     chunk: Chunk
     attempts: int
     submit_seconds: float
@@ -536,14 +344,7 @@ class _Worker:
 
     process: object
     conn: object
-    out_ring: Optional[_SlotRing]
     pending: deque = field(default_factory=deque)
-    #: ``(confirm_seq, segment)``: retired outbound segments, unlinked once a
-    #: result for a task ``seq >= confirm_seq`` proves the worker moved on.
-    retired_out: deque = field(default_factory=deque)
-    #: Inbound segments (worker-created) this master has attached, by name.
-    inbound: dict = field(default_factory=dict)
-    next_seq: int = 0
 
 
 class WorkerPool:
@@ -566,7 +367,6 @@ class WorkerPool:
         #: regression probe (one pipeline run must not exceed num_workers).
         self.total_spawned = 0
         self._owner_pid = os.getpid()
-        self._name = f"repro-eng-{os.getpid()}-{os.urandom(3).hex()}"
         if "fork" in __import__("multiprocessing").get_all_start_methods():
             self._ctx = get_context("fork")
         else:  # pragma: no cover - non-fork platforms
@@ -582,34 +382,19 @@ class WorkerPool:
 
     # ------------------------------------------------------------- lifecycle
     def _spawn_worker(self) -> _Worker:
-        if HAVE_SHM:
-            # Start the resource tracker *before* forking so workers inherit
-            # it: every segment registration then lands in one shared
-            # tracker whose bookkeeping the master's single unlink per
-            # segment balances.  Workers left to start their own trackers
-            # would warn about (and try to re-unlink) segments the master
-            # already cleaned up.
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
         serial = self._spawn_serial
         self._spawn_serial += 1
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, dict(self._specs), f"{self._name}-w{serial}-in-"),
+            args=(child_conn, dict(self._specs)),
             daemon=True,
             name=f"repro-engine-worker-{serial}",
         )
         process.start()
         child_conn.close()
         self.total_spawned += 1
-        out_ring = (
-            _SlotRing(f"{self._name}-w{serial}-out-", depth=max(_TRANSPORT_DEPTH.values()))
-            if HAVE_SHM
-            else None
-        )
-        return _Worker(process=process, conn=parent_conn, out_ring=out_ring)
+        return _Worker(process=process, conn=parent_conn)
 
     def _ensure_workers(self) -> None:
         while len(self._workers) < self.num_workers:
@@ -628,21 +413,13 @@ class WorkerPool:
         if worker.process.is_alive():  # pragma: no cover - stuck worker
             worker.process.terminate()
             worker.process.join(timeout=1.0)
-        if worker.out_ring is not None:
-            worker.out_ring.release(unlink=True)
-        for _seq, segment in worker.retired_out:
-            _release_segment(segment, unlink=True)
-        worker.retired_out.clear()
-        for segment in worker.inbound.values():
-            _release_segment(segment, unlink=True)
-        worker.inbound.clear()
 
     def close(self) -> None:
-        """Stop all workers and release every shared-memory segment.
+        """Stop and reap all workers.
 
         Idempotent: the atexit hook and an explicit user ``close`` may both
         run (in either order); the second invocation returns without
-        touching ``/dev/shm`` again.  Not terminal — a later attach/run
+        touching any process again.  Not terminal — a later attach/run
         respawns workers (and re-arms the close).
         """
         if os.getpid() != self._owner_pid:  # pragma: no cover - forked child
@@ -660,22 +437,6 @@ class WorkerPool:
         self._specs.clear()
         self._spec_ids.clear()
         self._broken_specs.clear()
-        self._sweep_segments()
-
-    def _sweep_segments(self) -> None:
-        """Unlink any segment with this pool's name prefix (crash leftovers)."""
-        if not HAVE_SHM:  # pragma: no cover
-            return
-        shm_dir = "/dev/shm"
-        if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux
-            return
-        for fname in os.listdir(shm_dir):
-            if fname.startswith(self._name):
-                try:
-                    segment = _shm.SharedMemory(name=fname)
-                except FileNotFoundError:
-                    continue
-                _release_segment(segment, unlink=True)
 
     # ---------------------------------------------------------------- attach
     def _spec_key(self, spec: TaskSpec) -> tuple:
@@ -742,17 +503,17 @@ class WorkerPool:
         spec: TaskSpec,
         chunks: Iterator[Chunk],
         accumulator: CSRAccumulator,
-        transport: str = "auto",
         pending_limit: Optional[int] = None,
         chunk_timeout: Optional[float] = None,
     ) -> None:
         """Run a chunk stream against ``spec``, feeding the accumulator.
 
         Submission is backpressure-aware: at most ``pending_limit`` chunks
-        (and per worker, the transport's depth) are in flight, so generator
-        inputs stay out-of-core.  Results are claimed and accumulated on
-        arrival; the accumulator's chunk-index merge keeps the output
-        independent of completion order, crashes and resubmissions included.
+        (and at most :data:`_WORKER_DEPTH` per worker) are in flight, so
+        generator inputs stay out-of-core.  Results are unpickled and
+        accumulated on arrival; the accumulator's chunk-index merge keeps
+        the output independent of completion order, crashes and
+        resubmissions included.
 
         ``chunk_timeout`` bounds how long any chunk may stay in flight: past
         the deadline its worker draws a warning, and past ``chunk_timeout ×``
@@ -761,14 +522,12 @@ class WorkerPool:
         EN101) — a hung worker can no longer stall the run forever.  ``None``
         (default) waits indefinitely, as before.
         """
-        transport = resolve_transport(transport)
         if self._running:
             raise LabelingError("WorkerPool.run is not reentrant")
         sid = self.attach(spec)
         self._ensure_workers()
-        depth = _TRANSPORT_DEPTH[transport]
-        limit = max(1, min(pending_limit or depth * self.num_workers,
-                           depth * self.num_workers))
+        capacity = _WORKER_DEPTH * self.num_workers
+        limit = max(1, min(pending_limit or capacity, capacity))
         chunk_iter = iter(chunks)
         resubmit: deque = deque()
         state = {"exhausted": False, "failure": None, "respawn": None, "respawned": False}
@@ -781,33 +540,19 @@ class WorkerPool:
                 state["failure"] = (order_key, exc)
 
         def submit(worker: _Worker, chunk: Chunk, attempts: int) -> None:
-            seq = worker.next_seq
-            worker.next_seq += 1
             start = time.perf_counter()
             blob = pickle.dumps(chunk.candidates, _PICKLE_PROTOCOL)
-            if transport == "shm":
-                name, offset, retired = worker.out_ring.reserve(seq, len(blob))
-                if retired is not None:
-                    worker.retired_out.append((seq, retired))
-                worker.out_ring.segment.buf[offset : offset + len(blob)] = blob
-                faults.corrupt_shm_slot(
-                    "corrupt_shm", chunk.index, worker.out_ring.segment.buf,
-                    offset, len(blob),
-                )
-                meta = ("shm", name, offset, len(blob), zlib.crc32(blob))
-            else:
-                meta = ("pipe", blob)
-            worker.conn.send(("task", sid, seq, chunk.index, chunk.start_row, meta))
+            worker.conn.send(("task", sid, chunk.index, chunk.start_row, blob))
             worker.pending.append(
                 _InFlight(
-                    seq, chunk, attempts, time.perf_counter() - start,
+                    chunk, attempts, time.perf_counter() - start,
                     started=time.monotonic(),
                 )
             )
 
         def fill() -> None:
             while state["failure"] is None:
-                free = [w for w in self._workers if len(w.pending) < depth]
+                free = [w for w in self._workers if len(w.pending) < _WORKER_DEPTH]
                 if not free or sum(len(w.pending) for w in self._workers) >= limit:
                     return
                 if resubmit:
@@ -822,74 +567,20 @@ class WorkerPool:
                     return
                 submit(min(free, key=lambda w: len(w.pending)), chunk, attempts)
 
-        def claim(worker: _Worker, entry: _InFlight, meta) -> ChunkResult:
-            start = time.perf_counter()
-            if meta[0] == "pipe":
-                _, blob, worker_seconds = meta
-                result = pickle.loads(blob)
-            else:
-                _, name, blocks, meta_result, worker_seconds = meta
-                segment = worker.inbound.get(name)
-                if segment is None:
-                    # New inbound generation: older segments hold no
-                    # unclaimed results (claims are in seq order), unlink.
-                    for old in worker.inbound.values():
-                        _release_segment(old, unlink=True)
-                    worker.inbound.clear()
-                    segment = _shm.SharedMemory(name=name)
-                    worker.inbound[name] = segment
-                arrays = []
-                for offset, dtype_str, count, crc in blocks:
-                    dtype = np.dtype(dtype_str)
-                    actual = zlib.crc32(
-                        segment.buf[offset : offset + count * dtype.itemsize]
-                    )
-                    if actual != crc:
-                        # The ring slot no longer holds what the worker
-                        # wrote; the chunk is retryable (EN102), garbage
-                        # triples must never reach the accumulator.
-                        raise TransportCorruptionError(
-                            entry.chunk.index, "result", crc, actual
-                        )
-                    view = np.frombuffer(
-                        segment.buf, dtype=dtype, count=count, offset=offset
-                    )
-                    arrays.append(view.copy())
-                    del view
-                result = attach_arrays(meta_result, arrays)
-            result.transport_seconds = (
-                worker_seconds + entry.submit_seconds + time.perf_counter() - start
-            )
-            return result
-
-        def retry_corruption(entry: _InFlight, exc: TransportCorruptionError) -> None:
-            # EN102 is retryable under FT: the chunk's source data is intact
-            # master-side (unlike a task error, which would fail again), so a
-            # torn slot costs one resubmission, bounded like a crash.
-            if fault_tolerant and entry.attempts < MAX_CHUNK_ATTEMPTS:
-                resubmit.append((entry.chunk, entry.attempts + 1))
-            else:
-                note_failure(entry.chunk.index, exc)
-
         def handle_message(worker: _Worker, msg) -> None:
             kind = msg[0]
             if kind == "result":
-                _, seq, _index, meta = msg
+                _, blob, worker_seconds = msg
                 entry = worker.pending.popleft()
-                try:
-                    result = claim(worker, entry, meta)
-                except TransportCorruptionError as exc:
-                    result = None
-                    retry_corruption(entry, exc)
-                # A result for ``seq`` proves the worker moved past every
-                # segment retired at or before it — claimed or torn alike.
-                while worker.retired_out and worker.retired_out[0][0] <= seq:
-                    _, segment = worker.retired_out.popleft()
-                    _release_segment(segment, unlink=True)
-                if result is not None and state["failure"] is None:
+                start = time.perf_counter()
+                result = pickle.loads(blob)
+                result.transport_seconds = (
+                    worker_seconds + entry.submit_seconds + time.perf_counter() - start
+                )
+                if state["failure"] is None:
                     accumulator.add(result)
             elif kind == "error":
-                _, _seq, index, payload = msg
+                _, index, payload = msg
                 entry = worker.pending.popleft()
                 if state["respawn"] is not None:
                     # The worker could not attach the spec; its per-task
@@ -897,11 +588,7 @@ class WorkerPool:
                     # chunk reruns on the respawned generation.
                     resubmit.append((entry.chunk, entry.attempts))
                     return
-                exc = _rebuild_exc(payload)
-                if isinstance(exc, TransportCorruptionError):
-                    retry_corruption(entry, exc)
-                else:
-                    note_failure(index, exc)
+                note_failure(index, _rebuild_exc(payload))
             elif kind == "attach_error":
                 _, bad_sid, payload = msg
                 exc = _rebuild_exc(payload)
@@ -960,10 +647,9 @@ class WorkerPool:
         def enforce_deadlines() -> None:
             """Warn on, then kill, workers whose oldest chunk overstayed.
 
-            Only the head of each worker's pending queue is judged — workers
-            process in submission order, so younger entries are queued, not
-            hung.  A kill flows through :func:`handle_death` (resubmission,
-            respawn, attempt cap) with the head chunk coded EN101.
+            Only the head of each worker's pending queue is judged.  A kill
+            flows through :func:`handle_death` (resubmission, respawn,
+            attempt cap) with the head chunk coded EN101.
             """
             now = time.monotonic()
             for worker in list(self._workers):
@@ -1080,12 +766,10 @@ def shutdown_pools() -> None:
     _POOLS.clear()
 
 
-# Ordering matters: atexit hooks run LIFO, and multiprocessing registers its
-# own teardown (which reaps the shared-memory resource tracker) when
-# ``multiprocessing.util`` is first imported.  Importing it explicitly *before*
-# registering shutdown_pools guarantees the pools — whose close() unlinks
-# segments through that tracker — are reaped first, not after the tracker
-# infrastructure is already torn down.
+# Ordering matters: atexit hooks run LIFO, and ``multiprocessing.util``
+# registers its own teardown (which terminates daemonic children) when it is
+# first imported.  Importing it explicitly *before* registering
+# shutdown_pools guarantees the pools close their workers in order first.
 import multiprocessing.util  # noqa: E402  (ordering-sensitive, see above)
 
 atexit.register(shutdown_pools)

@@ -8,7 +8,7 @@ candidate iterable.  This module adds the discriminative stage's tasks:
   triples (``payload`` is a fitted
   :class:`repro.discriminative.featurizers.RelationFeaturizer`), giving
   featurization the same streaming, parallel, deterministically-merged
-  execution path LF application has had since PR 2;
+  execution path LF application has;
 * :func:`label_and_featurize_chunk` runs the LF suite *and* the featurizer
   over each chunk in one pass (``payload`` is ``(lfs, featurizer)``), so an
   out-of-core pipeline run touches every candidate exactly once — the label
@@ -23,13 +23,13 @@ within each row, the merged triples are already in canonical CSR order.
 Under the processes backend these tasks run inside the persistent worker
 runtime (:mod:`repro.labeling.engine.runtime`): the payload is attached to
 each long-lived worker once as a :class:`~repro.labeling.engine.runtime.
-TaskSpec` and only candidate chunks travel per call, over the plan's
-``transport`` (pickled pipe bytes or shared-memory slots).  Tasks notice
-none of this — the dispatch kernel hands them the same
-``(payload, fault_tolerant, index, start_row, candidates)`` call either way
-— but it is why a task must be a module-level callable and must treat the
-payload as read-only (worker-side payload mutations would persist across
-chunks *and* runs; see :mod:`repro.analysis.contracts`).
+TaskSpec` and only candidate chunks travel per call, as pickled bytes over
+each worker's pipe.  Tasks notice none of this — the dispatch kernel hands
+them the same ``(payload, fault_tolerant, index, start_row, candidates)``
+call as in-process execution — but it is why a task must be a module-level
+callable and must treat the payload as read-only (worker-side payload
+mutations would persist across chunks *and* runs; see
+:mod:`repro.analysis.contracts`).
 """
 
 from __future__ import annotations

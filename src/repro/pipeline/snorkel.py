@@ -70,7 +70,7 @@ from repro.labeling.blockstore import (
     ChunkCheckpointer,
     EpochCheckpoint,
 )
-from repro.labeling.engine import BACKENDS, TRANSPORTS
+from repro.labeling.engine import BACKENDS
 from repro.labeling.lf import LabelingFunction
 from repro.labeling.matrix import LabelMatrix
 from repro.labelmodel.generative import GenerativeModel
@@ -96,21 +96,14 @@ class PipelineConfig:
     sparse_labels: bool = False
     #: Executor backend for LF application (``"sequential"``, ``"threads"``,
     #: or ``"processes"`` — see :mod:`repro.labeling.engine`).  The label
-    #: matrix is identical for every backend.
+    #: matrix is identical for every backend.  ``"processes"`` runs on one
+    #: persistent worker pool that serves every stage of a run — apply,
+    #: fused apply+featurize — so workers are spawned exactly once however
+    #: many splits are processed.
     applier_backend: str = "sequential"
     #: Worker count for the pool backends (``None`` = one per available CPU);
     #: ignored by the sequential backend.
     applier_workers: Optional[int] = 1
-    #: Chunk transport of the ``"processes"`` backend (see
-    #: :data:`repro.labeling.engine.plan.TRANSPORTS`): ``"pickle"`` ships
-    #: chunks/results as pickled bytes over each worker's pipe, ``"shm"``
-    #: moves the bulk bytes through reusable shared-memory slots, ``"auto"``
-    #: (default) picks ``shm`` when available.  One persistent worker pool
-    #: serves every stage of a run — apply, fused apply+featurize — so
-    #: workers are spawned exactly once however many splits are processed.
-    #: Results are bit-identical across transports; the in-process backends
-    #: ignore the setting.
-    engine_transport: str = "auto"
     #: Static-analysis gate over the LF suite before application (see
     #: :mod:`repro.analysis`): ``"off"`` (default), ``"warn"`` to attach an
     #: :class:`~repro.analysis.diagnostics.AnalysisReport` to the apply
@@ -211,11 +204,6 @@ class PipelineConfig:
         if self.lf_pushdown not in PUSHDOWN_MODES:
             raise ConfigurationError(
                 f"lf_pushdown must be one of {PUSHDOWN_MODES}, got {self.lf_pushdown!r}"
-            )
-        if self.engine_transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"engine_transport must be one of {TRANSPORTS}, "
-                f"got {self.engine_transport!r}"
             )
         if self.gibbs_kernel not in KERNELS:
             raise ConfigurationError(
@@ -325,7 +313,6 @@ class SnorkelPipeline:
             num_workers=self.config.applier_workers,
             validate=self.config.lf_validate,
             pushdown=self.config.lf_pushdown,
-            transport=self.config.engine_transport,
         )
         # The candidate lists are needed later for featurization, so hand the
         # applier the lists themselves (engaging its dense scatter-on-arrival
@@ -401,7 +388,6 @@ class SnorkelPipeline:
                 num_workers=config.applier_workers,
                 validate=config.lf_validate,
                 pushdown=config.lf_pushdown,
-                transport=config.engine_transport,
                 chunk_timeout=config.engine_chunk_timeout,
             )
             label_matrix, train_blocks = applier.apply_with_features(

@@ -12,13 +12,18 @@ What this suite pins down:
   resubmits the lost chunk and the merged triples match the sequential
   reference; a chunk that kills its worker on every attempt fails after
   ``MAX_CHUNK_ATTEMPTS``.
-* **Clean shutdown** — ``close()`` reaps every worker process and leaves no
-  shared-memory segments behind.
+* **Clean shutdown** — ``close()`` reaps every worker process.
+* **In-flight window** — a worker never holds more than one chunk, so a
+  chunk and a result that each overflow the pipe's buffer cannot deadlock
+  the master against the worker.
+* **Fault specs** — :func:`faults.parse_plan` rejects malformed and retired
+  rules, and a rejected spec is never installed.
 """
 
-import glob
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -31,11 +36,11 @@ from repro.datasets.synthetic import (
     synthetic_vote_lfs,
     text_vote_lfs,
 )
+from repro.exceptions import LabelingError
 from repro.labeling import LabelingFunction, LFApplier
 from repro.labeling.engine import (
     CSRAccumulator,
     TaskSpec,
-    TransportCorruptionError,
     WorkerCrashError,
     WorkerPool,
     WorkerTimeoutError,
@@ -83,10 +88,10 @@ def _crash_once_task(payload, fault_tolerant, index, start_row, candidates):
     return apply_chunk(lfs, fault_tolerant, index, start_row, candidates)
 
 
-def _probe_pids(pool, candidates, transport="auto", chunk_size=25):
+def _probe_pids(pool, candidates, chunk_size=25):
     accumulator = CSRAccumulator()
     spec = TaskSpec(task=_pid_probe_task)
-    pool.run(spec, iter_chunks(candidates, chunk_size), accumulator, transport=transport)
+    pool.run(spec, iter_chunks(candidates, chunk_size), accumulator)
     return set(accumulator.merge().values.tolist())
 
 
@@ -98,9 +103,9 @@ def test_pool_spawns_workers_exactly_once():
         first = _probe_pids(pool, candidates)
         assert len(first) == 2  # both workers took chunks
         assert pool.total_spawned == 2
-        # Repeat runs — including a transport switch — reuse the same pids.
+        # Repeat runs reuse the same pids.
         assert _probe_pids(pool, candidates) == first
-        assert _probe_pids(pool, candidates, transport="pickle") == first
+        assert _probe_pids(pool, candidates, chunk_size=10) == first
         assert pool.total_spawned == 2
     finally:
         pool.close()
@@ -168,7 +173,6 @@ def test_worker_crash_raises_coded_error_naming_chunk():
                 spec=TaskSpec(task=_crash_task, payload=2),
                 chunks=iter_chunks(candidates, 20),
                 accumulator=accumulator,
-                transport="pickle",
             )
         assert err.value.code == "EN100"
         assert err.value.chunk_index == 2
@@ -196,7 +200,6 @@ def test_fault_tolerant_run_resubmits_after_crash(tmp_path):
             ),
             chunks=iter_chunks(candidates, 25),
             accumulator=accumulator,
-            transport="auto",
         )
         assert os.path.exists(flag)  # the crash really happened
         merged = accumulator.merge()
@@ -216,7 +219,6 @@ def test_fault_tolerant_gives_up_after_max_attempts():
                 spec=TaskSpec(task=_crash_task, payload=0, fault_tolerant=True),
                 chunks=iter_chunks(make_candidates(num_points=60), 20),
                 accumulator=accumulator,
-                transport="pickle",
             )
         assert err.value.attempts == runtime.MAX_CHUNK_ATTEMPTS
     finally:
@@ -251,7 +253,6 @@ def test_hung_worker_raises_coded_timeout_error():
                     spec=TaskSpec(task=_hang_task, payload=1),
                     chunks=iter_chunks(make_candidates(num_points=100), 20),
                     accumulator=CSRAccumulator(),
-                    transport="pickle",
                     chunk_timeout=0.3,
                 )
         assert err.value.code == "EN101"
@@ -277,7 +278,6 @@ def test_hung_worker_resubmitted_when_fault_tolerant(tmp_path):
                 ),
                 chunks=iter_chunks(make_candidates(num_points=160), 20),
                 accumulator=accumulator,
-                transport="pickle",
                 chunk_timeout=0.3,
             )
         assert os.path.exists(flag)  # the hang really happened
@@ -297,7 +297,6 @@ def test_hang_forever_gives_up_after_max_attempts():
                     spec=TaskSpec(task=_hang_task, payload=0, fault_tolerant=True),
                     chunks=iter_chunks(make_candidates(num_points=60), 20),
                     accumulator=CSRAccumulator(),
-                    transport="pickle",
                     chunk_timeout=0.3,
                 )
         assert err.value.attempts == runtime.MAX_CHUNK_ATTEMPTS
@@ -305,90 +304,12 @@ def test_hang_forever_gives_up_after_max_attempts():
         pool.close()
 
 
-# ------------------------------------------------------- transport checksums
-needs_shm = pytest.mark.skipif(not runtime.HAVE_SHM, reason="no shared memory")
-
-
-@needs_shm
-def test_corrupt_chunk_slot_raises_coded_error():
-    """A torn outbound shm slot surfaces as EN102 naming the chunk, not as a
-    pickle decode crash deep inside the worker."""
-    faults.install("corrupt_shm@1")
-    pool = WorkerPool(num_workers=2)
-    try:
-        with pytest.raises(TransportCorruptionError) as err:
-            pool.run(
-                spec=TaskSpec(task=_pid_probe_task),
-                chunks=iter_chunks(make_candidates(num_points=100), 20),
-                accumulator=CSRAccumulator(),
-                transport="shm",
-            )
-        assert err.value.code == "EN102"
-        assert err.value.chunk_index == 1
-    finally:
-        pool.close()
-        faults.install(None)
-
-
-@needs_shm
-def test_corrupt_chunk_slot_resubmitted_when_fault_tolerant(tmp_path):
-    flag = str(tmp_path / "corrupted-once")
-    faults.install(f"corrupt_shm@1:flag={flag}")
-    pool = WorkerPool(num_workers=2)
-    try:
-        accumulator = CSRAccumulator()
-        pool.run(
-            spec=TaskSpec(task=_pid_probe_task, fault_tolerant=True),
-            chunks=iter_chunks(make_candidates(num_points=160), 20),
-            accumulator=accumulator,
-            transport="shm",
-        )
-        assert os.path.exists(flag)  # the corruption really happened
-        merged = accumulator.merge()
-        assert merged.num_chunks == 8
-        assert merged.num_candidates == 160
-    finally:
-        pool.close()
-        faults.install(None)
-
-
-@needs_shm
-def test_corrupt_result_blocks_resubmitted_when_fault_tolerant(tmp_path):
-    """Result-direction corruption (worker-side ring blocks) is detected by
-    the master's per-block crc check and resubmitted the same way."""
-    flag = str(tmp_path / "result-corrupted-once")
-    faults.install(f"corrupt_result@2:flag={flag}")
-    pool = WorkerPool(num_workers=2)  # workers fork after install: plan inherited
-    try:
-        lfs = synthetic_vote_lfs(4)
-        candidates = make_candidates()
-        reference = LFApplier(lfs).apply(candidates)
-        accumulator = CSRAccumulator()
-        pool.run(
-            spec=TaskSpec(task=apply_chunk, payload=lfs, fault_tolerant=True),
-            chunks=iter_chunks(candidates, 25),
-            accumulator=accumulator,
-            transport="shm",
-        )
-        assert os.path.exists(flag)
-        merged = accumulator.merge()
-        matrix = np.zeros((len(candidates), 4), dtype=np.int64)
-        matrix[merged.rows, merged.cols] = merged.values
-        assert np.array_equal(matrix, reference.values)
-    finally:
-        pool.close()
-        faults.install(None)
-
-
 # ---------------------------------------------------------------- clean shutdown
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm to inspect")
-def test_close_reaps_processes_and_segments():
+def test_close_reaps_worker_processes():
     candidates = make_candidates()
     pool = WorkerPool(num_workers=2)
-    pids = _probe_pids(pool, candidates, transport="shm" if runtime.HAVE_SHM else "pickle")
-    prefix = pool._name
+    pids = _probe_pids(pool, candidates)
     pool.close()
-    assert glob.glob(f"/dev/shm/{prefix}*") == []
     for pid in pids:
         with pytest.raises(OSError):
             os.kill(pid, 0)
@@ -463,7 +384,6 @@ def test_candidate_decode_failure_is_a_task_error_not_a_crash():
                 spec=TaskSpec(task=_pid_probe_task),
                 chunks=iter_chunks([_ExplodesOnLoad()] * 40, 20),
                 accumulator=CSRAccumulator(),
-                transport="pickle",
             )
         # The workers survived the failed decode: same generation serves on.
         assert pool.total_spawned == 2
@@ -489,7 +409,6 @@ def test_attach_heals_silently_dead_worker():
             TaskSpec(task=_pid_probe_task, payload=("fresh",)),
             iter_chunks(candidates, 10),
             accumulator,
-            transport="pickle",
         )
         assert len(set(accumulator.merge().values.tolist())) == 2
     finally:
@@ -508,7 +427,6 @@ def test_escaped_run_exception_quarantines_in_flight_state():
                 spec=TaskSpec(task=_sleep_probe_task),
                 chunks=iter_chunks(bad, 20),
                 accumulator=CSRAccumulator(),
-                transport="pickle",
             )
         # The quarantined generation is gone; the next runs start clean and
         # agree with each other (no duplicate-chunk or stale-result errors).
@@ -517,3 +435,185 @@ def test_escaped_run_exception_quarantines_in_flight_state():
         assert _probe_pids(pool, candidates) == _probe_pids(pool, candidates)
     finally:
         pool.close()
+
+
+# ------------------------------------------------------------ in-flight window
+_WINDOW_SCRIPT = """
+import numpy as np
+
+from repro.labeling.engine import CSRAccumulator, TaskSpec, WorkerPool, iter_chunks
+from repro.labeling.engine.accumulator import ChunkResult
+
+ENTRIES = 1 << 19  # 3 int64 arrays of 4 MB each: a 12 MB pickled result
+
+
+def bulk_result_task(payload, fault_tolerant, index, start_row, candidates):
+    return ChunkResult(
+        index=index,
+        start_row=start_row,
+        num_candidates=len(candidates),
+        row_offsets=np.zeros(ENTRIES, dtype=np.int64),
+        cols=np.zeros(ENTRIES, dtype=np.int64),
+        values=np.ones(ENTRIES, dtype=np.int64),
+    )
+
+
+# Distinct 1 MB candidates (pickle would memoize a repeated object), so each
+# 4-candidate chunk pickles to 4 MB.
+candidates = [bytes([i]) * (1 << 20) for i in range(12)]
+pool = WorkerPool(num_workers=1)
+try:
+    accumulator = CSRAccumulator(transform=lambda result: result.stripped())
+    pool.run(TaskSpec(task=bulk_result_task), iter_chunks(candidates, 4), accumulator)
+    assert accumulator.merge().num_chunks == 3
+finally:
+    pool.close()
+print("window ok")
+"""
+
+
+def test_large_chunks_and_results_do_not_deadlock_the_pipe():
+    """A one-worker pool moves chunks and results that each overflow the
+    socket buffer.  With a second chunk in flight the master would block
+    sending it while the worker blocks sending a result nobody reads; the
+    subprocess and its timeout turn that hang into a failure."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop(faults.ENV_VAR, None)
+    process = subprocess.Popen(
+        [sys.executable, "-c", _WINDOW_SCRIPT],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = process.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        # Kill the master and its deadlocked worker together.
+        os.killpg(process.pid, signal.SIGKILL)
+        process.communicate()
+        pytest.fail("pool deadlocked moving chunks larger than the pipe buffer")
+    assert process.returncode == 0, err
+    assert "window ok" in out
+
+
+_ORPHAN_SCRIPT = """
+import os
+import sys
+import time
+
+import numpy as np
+
+from repro.labeling.engine import CSRAccumulator, TaskSpec, WorkerPool, iter_chunks
+from repro.labeling.engine.accumulator import ChunkResult
+
+ENTRIES = 1 << 19  # a 12 MB pickled result, more than the socket buffer
+PID_FILE = sys.argv[1]
+
+
+def result_after_master_death(payload, fault_tolerant, index, start_row, candidates):
+    master = os.getppid()
+    with open(PID_FILE + ".tmp", "w") as handle:
+        handle.write(str(os.getpid()))
+    os.replace(PID_FILE + ".tmp", PID_FILE)
+    deadline = time.monotonic() + 30
+    while os.getppid() == master and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return ChunkResult(
+        index=index,
+        start_row=start_row,
+        num_candidates=len(candidates),
+        row_offsets=np.zeros(ENTRIES, dtype=np.int64),
+        cols=np.zeros(ENTRIES, dtype=np.int64),
+        values=np.ones(ENTRIES, dtype=np.int64),
+    )
+
+
+pool = WorkerPool(num_workers=1)
+pool.run(TaskSpec(task=result_after_master_death), iter_chunks([0], 1), CSRAccumulator())
+"""
+
+
+def _process_alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_worker_exits_when_master_is_killed_mid_result(tmp_path):
+    """A worker whose master is SIGKILLed before it sends a result larger
+    than the socket buffer must exit: the send itself never fails, because
+    the worker holds the master's end of its own pipe."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop(faults.ENV_VAR, None)
+    pid_file = tmp_path / "worker.pid"
+    master = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT, str(pid_file)],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    worker_pid = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert master.poll() is None, "master exited before its worker ran"
+            assert time.monotonic() < deadline, "worker never started its chunk"
+            time.sleep(0.01)
+        worker_pid = int(pid_file.read_text())
+        master.kill()
+        master.wait()
+        deadline = time.monotonic() + 10
+        while _process_alive(worker_pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _process_alive(worker_pid), "worker outlived its master"
+    finally:
+        if master.poll() is None:
+            master.kill()
+            master.wait()
+        if worker_pid is not None and _process_alive(worker_pid):
+            os.kill(worker_pid, signal.SIGKILL)
+
+
+# ------------------------------------------------------------ fault-spec parser
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "corrupt_shm@1",  # retired with the shared-memory transport
+        "corrupt_result@1",  # retired with the shared-memory transport
+        "explode@1",  # unknown action
+        "kill",  # no ordinal
+        "kill@two",  # non-integer ordinal
+        "kill@1:retries=3",  # unknown option
+        "hang@1:seconds",  # option without a value
+    ],
+)
+def test_parse_plan_rejects_bad_rules(spec):
+    with pytest.raises(LabelingError):
+        faults.parse_plan(spec)
+
+
+def test_parse_plan_reads_actions_ordinals_and_options():
+    plan = faults.parse_plan("kill@3; hang@5:seconds=2.5:flag=once.flag;;disk_full@0")
+    assert [(rule.action, rule.at) for rule in plan.rules] == [
+        ("kill", 3),
+        ("hang", 5),
+        ("disk_full", 0),
+    ]
+    hang = plan.rules[1]
+    assert hang.seconds == 2.5
+    assert hang.flag == "once.flag"
+
+
+def test_install_rejects_bad_spec_without_setting_env(monkeypatch):
+    monkeypatch.delenv(faults.ENV_VAR, raising=False)
+    with pytest.raises(LabelingError):
+        faults.install("bogus@1")
+    assert faults.ENV_VAR not in os.environ

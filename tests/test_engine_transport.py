@@ -1,14 +1,14 @@
-"""Differential transport suite: shm ≡ pickle ≡ sequential, bit for bit.
+"""Differential transport suite: processes ≡ sequential, bit for bit.
 
-The persistent worker runtime promises that *how* chunk bytes move between
-processes is unobservable: for any suite, chunk size, cardinality, and
-input, the shared-memory transport, the pickle transport, and the
-sequential in-process reference produce identical labels, identical feature
-blocks, identical error accounting, and the identical first-raised
-exception.  This suite pins all four down, including the edges the shm ring
-has to get right — empty candidate streams, all-abstain suites (zero-size
-triple blocks), and hypothesis-fuzzed corpora with adversarial text (NUL
-bytes, empty strings).
+The persistent worker runtime promises that moving chunks between processes
+is unobservable: for any suite, chunk size, cardinality, and input, the
+processes backend (candidates and results pickled over each worker's pipe)
+and the sequential in-process reference produce identical labels, identical
+feature blocks, identical error accounting, and the identical first-raised
+exception.  This suite pins all four down, including the edges the
+transport has to get right — empty candidate streams, all-abstain suites
+(zero-size triple blocks), and hypothesis-fuzzed corpora with adversarial
+text (NUL bytes, empty strings).
 """
 
 from dataclasses import dataclass
@@ -30,8 +30,6 @@ from repro.exceptions import LabelingError
 from repro.labeling import LabelingFunction, LFApplier
 from repro.types import ABSTAIN, NEGATIVE, POSITIVE
 
-TRANSPORTS = ("pickle", "shm")
-
 NUM_LFS = 5
 
 
@@ -43,37 +41,35 @@ def make_candidates(num_points=150, seed=2):
     )
 
 
-def process_applier(lfs, chunk_size, transport, fault_tolerant=False):
+def process_applier(lfs, chunk_size, fault_tolerant=False):
     return LFApplier(
         lfs,
         fault_tolerant=fault_tolerant,
         chunk_size=chunk_size,
         backend="processes",
         num_workers=2,
-        transport=transport,
     )
 
 
 # ------------------------------------------------------------------- labels
-@pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("chunk_size", [1, 7, 64, 1000])
-def test_labels_bit_identical_across_transports(transport, chunk_size):
+def test_processes_labels_match_sequential(chunk_size):
     candidates = make_candidates()
     lfs = synthetic_vote_lfs(NUM_LFS)
     reference = LFApplier(lfs).apply(candidates)
-    applier = process_applier(lfs, chunk_size, transport)
+    applier = process_applier(lfs, chunk_size)
     dense = applier.apply(candidates)
     sparse = applier.apply(candidates, sparse=True)
     assert np.array_equal(dense.values, reference.values)
     assert np.array_equal(sparse.to_dense().values, reference.values)
     report = applier.last_report
-    assert report.transport.mode == transport
+    assert report.backend == "processes"
     assert len(report.transport_seconds) == report.num_chunks
+    assert report.transport.transport_seconds > 0
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("cardinality", [2, 3])
-def test_transports_agree_across_cardinalities(transport, cardinality):
+def test_processes_agree_across_cardinalities(cardinality):
     candidates = list(
         stream_text_candidates(
             num_points=120, num_lfs=NUM_LFS, cardinality=cardinality, seed=4
@@ -81,16 +77,15 @@ def test_transports_agree_across_cardinalities(transport, cardinality):
     )
     lfs = text_vote_lfs(NUM_LFS, cardinality=cardinality)
     reference = LFApplier(lfs).apply(candidates)
-    matrix = process_applier(lfs, 17, transport).apply(candidates, sparse=True)
+    matrix = process_applier(lfs, 17).apply(candidates, sparse=True)
     assert np.array_equal(matrix.to_dense().values, reference.values)
     assert matrix.cardinality == cardinality
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_generator_input_matches_sequential(transport):
+def test_generator_input_matches_sequential():
     lfs = synthetic_vote_lfs(NUM_LFS)
     reference = LFApplier(lfs).apply(make_candidates(seed=9))
-    matrix = process_applier(lfs, 16, transport).apply(
+    matrix = process_applier(lfs, 16).apply(
         stream_synthetic_candidates(
             num_points=150, num_lfs=NUM_LFS, propensity=0.4, seed=9
         )
@@ -99,8 +94,7 @@ def test_generator_input_matches_sequential(transport):
 
 
 # ------------------------------------------------------------------ features
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_feature_blocks_bit_identical_across_transports(transport):
+def test_processes_feature_blocks_match_sequential():
     candidates = list(stream_text_candidates(num_points=110, num_lfs=NUM_LFS, seed=5))
     lfs = text_vote_lfs(NUM_LFS)
     featurizer = RelationFeaturizer(num_features=128).fit()
@@ -108,7 +102,7 @@ def test_feature_blocks_bit_identical_across_transports(transport):
     ref_labels, ref_blocks = ref_applier.apply_with_features(
         iter(candidates), featurizer, sparse=True
     )
-    applier = process_applier(lfs, 23, transport)
+    applier = process_applier(lfs, 23)
     labels, blocks = applier.apply_with_features(iter(candidates), featurizer, sparse=True)
     assert np.array_equal(labels.to_dense().values, ref_labels.to_dense().values)
     assert len(blocks) == len(ref_blocks)
@@ -142,13 +136,12 @@ def failing_lfs(num_lfs=3):
     ]
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_error_details_identical_across_transports(transport):
+def test_processes_error_details_match_sequential():
     candidates = make_candidates(num_points=90)
     lfs = failing_lfs()
     sequential = LFApplier(lfs, fault_tolerant=True)
     expected = sequential.apply(candidates)
-    applier = process_applier(lfs, 8, transport, fault_tolerant=True)
+    applier = process_applier(lfs, 8, fault_tolerant=True)
     matrix = applier.apply(candidates, sparse=True)
     assert np.array_equal(matrix.to_dense().values, expected.values)
     assert applier.last_report.errors == sequential.last_report.errors
@@ -157,23 +150,21 @@ def test_error_details_identical_across_transports(transport):
         assert pooled.type_counts == detail.type_counts
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_first_raised_exception_identical_across_transports(transport):
+def test_processes_first_raised_exception_matches_sequential():
     candidates = make_candidates(num_points=60)
     lfs = failing_lfs()
     with pytest.raises(LabelingError) as sequential_err:
         LFApplier(lfs).apply(candidates)
     with pytest.raises(LabelingError) as pooled_err:
-        process_applier(lfs, 10, transport).apply(candidates)
+        process_applier(lfs, 10).apply(candidates)
     assert type(pooled_err.value) is type(sequential_err.value)
     assert str(pooled_err.value) == str(sequential_err.value)
 
 
 # --------------------------------------------------------------------- edges
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_empty_candidate_stream(transport):
+def test_empty_candidate_stream():
     lfs = synthetic_vote_lfs(NUM_LFS)
-    applier = process_applier(lfs, 64, transport)
+    applier = process_applier(lfs, 64)
     matrix = applier.apply([])
     assert matrix.shape == (0, NUM_LFS)
     assert applier.last_report.num_chunks == 0
@@ -185,12 +176,11 @@ class _AbstainBody:
         return ABSTAIN
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_all_abstain_suite_moves_empty_blocks(transport):
-    """Zero-size triple blocks still round-trip through the shm ring."""
+def test_all_abstain_suite_moves_empty_blocks():
+    """Zero-size triple blocks still round-trip through the worker pipes."""
     candidates = make_candidates(num_points=80)
     lfs = [LabelingFunction(f"abstain_{j}", _AbstainBody()) for j in range(3)]
-    matrix = process_applier(lfs, 16, transport).apply(candidates, sparse=True)
+    matrix = process_applier(lfs, 16).apply(candidates, sparse=True)
     assert matrix.to_dense().values.shape == (80, 3)
     assert not matrix.to_dense().values.any()
 
@@ -236,17 +226,14 @@ _texts = st.lists(
 
 @settings(max_examples=15, deadline=None)
 @given(texts=_texts, chunk_size=st.integers(min_value=1, max_value=32))
-def test_fuzzed_corpora_agree_across_transports(texts, chunk_size):
+def test_fuzzed_corpora_processes_match_sequential(texts, chunk_size):
     candidates = [_FuzzCandidate(uid, text) for uid, text in enumerate(texts)]
     reference = LFApplier(_FUZZ_LFS).apply(candidates).values
-    for transport in TRANSPORTS:
-        matrix = process_applier(_FUZZ_LFS, chunk_size, transport).apply(
-            candidates, sparse=True
-        )
-        assert np.array_equal(matrix.to_dense().values, reference)
+    matrix = process_applier(_FUZZ_LFS, chunk_size).apply(candidates, sparse=True)
+    assert np.array_equal(matrix.to_dense().values, reference)
 
 
-def test_nul_bytes_survive_both_transports():
+def test_nul_bytes_survive_the_worker_pipes():
     candidates = [
         _FuzzCandidate(0, "\x00"),
         _FuzzCandidate(1, "a\x00b"),
@@ -254,6 +241,5 @@ def test_nul_bytes_survive_both_transports():
         _FuzzCandidate(3, "\x00" * 100),
     ]
     reference = LFApplier(_FUZZ_LFS).apply(candidates).values
-    for transport in TRANSPORTS:
-        matrix = process_applier(_FUZZ_LFS, 2, transport).apply(candidates)
-        assert np.array_equal(matrix.values, reference)
+    matrix = process_applier(_FUZZ_LFS, 2).apply(candidates)
+    assert np.array_equal(matrix.values, reference)
